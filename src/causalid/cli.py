@@ -14,6 +14,12 @@ Subcommands::
 Exit codes: 0 success (and identifiable), 2 not identifiable, 3 derivation
 rejected, 1 usage or input error.  Identical inputs and seeds produce
 byte-identical output.
+
+``derive --out`` writes a format-2 derivation file (see
+:func:`causalid.docalc.derivation_to_json`) as compact JSON with sorted
+keys: the graph once, a table of nested fragments each written once, and
+steps that store only a path and the rewritten subexpression.  ``check``
+reads format 2 only; any other version, or a malformed file, exits 1.
 """
 
 from __future__ import annotations
@@ -108,7 +114,9 @@ def _cmd_derive(args) -> int:
         return EXIT_NOT_IDENTIFIABLE
     data = derivation_to_json(d)
     if args.out:
-        Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(
+            json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        )
     _emit(
         {"identifiable": True, "steps": len(d.steps), "final": expr_to_json(d.final)},
         args.json,
@@ -305,7 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (GraphError, EnumerationLimitError, ValueError, OSError,
-            json.JSONDecodeError) as err:
+            json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: an input file nested too deeply to decode.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

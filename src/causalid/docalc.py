@@ -24,8 +24,17 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .ccomp import c_components, observable_blocks
-from .expr import One, PositivityError, Product, Quotient, Sum, free_vars
-from .graph import CausalGraph, GraphError
+from .expr import (
+    One,
+    PositivityError,
+    Product,
+    Quotient,
+    Sum,
+    expr_from_json,
+    expr_to_json,
+    free_vars,
+)
+from .graph import CausalGraph, GraphError, json_field, json_names
 from .ident import (
     EffectTrace,
     IdentResult,
@@ -163,44 +172,47 @@ def observational(e: DoExpr) -> bool:
 
 # -- expression paths -----------------------------------------------------------
 
+# A path leads from an expression to one of its subexpressions: "body" enters
+# a sum, "num"/"den" a quotient, and an int a product's factor.
 Path = tuple
+
+
+def _child(e: DoExpr, part) -> DoExpr:
+    """The subexpression of ``e`` at one path element; KeyError if ``e`` has
+    none there."""
+    if part == "body" and isinstance(e, Sum):
+        return e.body
+    if part == "num" and isinstance(e, Quotient):
+        return e.num
+    if part == "den" and isinstance(e, Quotient):
+        return e.den
+    if type(part) is int and isinstance(e, Product) and 0 <= part < len(e.factors):
+        return e.factors[part]
+    raise KeyError(part)
 
 
 def _get(e: DoExpr, path: Path) -> DoExpr:
     for part in path:
-        if part == "body":
-            e = e.body
-        elif part == "num":
-            e = e.num
-        elif part == "den":
-            e = e.den
-        elif isinstance(part, tuple) and part[0] == "f":
-            e = e.factors[part[1]]
-        else:
-            raise KeyError(path)
+        e = _child(e, part)
     return e
 
 
 def _replace(e: DoExpr, path: Path, new: DoExpr) -> DoExpr:
+    """``e`` with the subexpression at ``path`` replaced by ``new``; only the
+    nodes along the path are rebuilt.  KeyError if the path does not resolve."""
     if not path:
         return new
     head, rest = path[0], path[1:]
+    inner = _replace(_child(e, head), rest, new)
     if head == "body":
-        return Sum(e.bound, _replace(e.body, rest, new))
+        return Sum(e.bound, inner)
     if head == "num":
-        return Quotient(_replace(e.num, rest, new), e.den)
+        return Quotient(inner, e.den)
     if head == "den":
-        return Quotient(e.num, _replace(e.den, rest, new))
-    if isinstance(head, tuple) and head[0] == "f":
-        i = head[1]
-        factors = list(e.factors)
-        factors[i] = _replace(factors[i], rest, new)
-        return Product(factors)
-    raise KeyError(path)
-
-
-def F(i: int) -> tuple:
-    return ("f", i)
+        return Quotient(e.num, inner)
+    factors = list(e.factors)
+    factors[head] = inner
+    return Product(factors)
 
 
 class _Writer:
@@ -286,14 +298,14 @@ def _emit_grouped_factorization(
     # the other groups can be held fixed instead.
     w.apply(
         RULE2,
-        path + (F(0),),
+        path + (0,),
         DoSentence(frozenset({x}), (n - scope) | others_union, gx_rest),
         _rule(g, 2, x=n - scope, y={x}, z=others_union, w=gx_rest),
     )
     # The remainder is unaffected by intervening on the last variable.
     w.apply(
         RULE3,
-        path + (F(1),),
+        path + (1,),
         _q_sentence(g, h),
         _rule(g, 3, x=n - scope, y=h, z={x}, w=()),
     )
@@ -312,7 +324,7 @@ def _emit_grouped_factorization(
         idx = node.factors.index(_q_sentence(g, gx_rest))
         w.apply(
             RULE3,
-            path + (F(idx),),
+            path + (idx,),
             DoSentence(gx_rest, n - gx, frozenset()),
             _rule(g, 3, x=n - gx, y=gx_rest, z={x}, w=()),
         )
@@ -443,7 +455,7 @@ def _emit_block_to_prefixes(
             ]),
             StepParams(vars=b_rest, direction="split"),
         )
-        first, second = path + (F(0),), path + (F(1),)
+        first, second = path + (0,), path + (1,)
     else:
         first, second = path, None
 
@@ -489,7 +501,7 @@ def _emit_block_to_prefixes(
             for i, factor in enumerate(final.factors):
                 sub = next(b for b in sub_blocks if _q_sentence(g, b) == factor)
                 _emit_block_to_prefixes(
-                    w, h, sub, second + (F(i),), found, prefix_plan
+                    w, h, sub, second + (i,), found, prefix_plan
                 )
 
 
@@ -504,7 +516,7 @@ def _find_pending(e: DoExpr, path: Path = ()) -> tuple[Path, DoSentence] | None:
         return _find_pending(e.body, path + ("body",))
     if isinstance(e, Product):
         for i, f in enumerate(e.factors):
-            found = _find_pending(f, path + (F(i),))
+            found = _find_pending(f, path + (i,))
             if found:
                 return found
         return None
@@ -787,8 +799,13 @@ def _check_rule_step(step: DerivationStep, graph: CausalGraph,
         instance.rule, instance.x, instance.y, instance.z, instance.w,
     ):
         raise _Mismatch("embedded rule instance does not match the rewrite")
-    if not rule_applicable(instance).holds:
+    ev = rule_applicable(instance)
+    if not ev.holds:
         raise _Mismatch("separation condition fails on the mutilated graph")
+    if (just.cut_incoming, just.cut_outgoing, just.holds) != (
+        ev.cut_incoming, ev.cut_outgoing, ev.holds,
+    ):
+        raise _Mismatch("claimed edge cuts or verdict differ from the recomputed test")
 
 
 def _check_chain(site: tuple[DoExpr, DoExpr], params: StepParams) -> None:
@@ -871,6 +888,9 @@ def _check_normalize(site: tuple[DoExpr, DoExpr], params: StepParams) -> None:
     raise _Mismatch("not a normalize-to-one move")
 
 
+_SCHEMAS = {CHAIN: _check_chain, MARGINALIZE: _check_marginalize, NORMALIZE: _check_normalize}
+
+
 def _verify_structure(
     d: Derivation,
     evaluators: list[DoEvaluator] | None,
@@ -900,19 +920,17 @@ def _verify_structure(
         try:
             if step.kind in (RULE2, RULE3):
                 _check_rule_step(step, d.graph, site)
-            elif step.kind == CHAIN:
+            elif step.kind in _SCHEMAS:
                 if not isinstance(step.justification, StepParams):
                     return Verdict(False, i, "missing structural parameters")
-                _check_chain(site, step.justification)
-            elif step.kind == MARGINALIZE:
-                _check_marginalize(site, step.justification)
-            elif step.kind == NORMALIZE:
-                _check_normalize(site, step.justification)
+                _SCHEMAS[step.kind](site, step.justification)
             elif step.kind == SUBSTITUTE:
                 just = step.justification
                 if not isinstance(just, Substitution):
                     return Verdict(False, i, "missing nested derivation")
                 nested = just.derivation
+                if not nested.steps:
+                    return Verdict(False, i, "nested derivation has no steps")
 
                 def _same(p, q) -> bool:
                     if p == q:
@@ -936,7 +954,10 @@ def _verify_structure(
                     sub = _verify_structure(nested, evaluators, tolerance, cache)
                     cache[id(nested)] = sub
                 if not sub.accepted:
-                    return Verdict(False, i, f"nested derivation rejected: {sub.reason}")
+                    return Verdict(
+                        False, i,
+                        f"nested derivation rejected at step {sub.step}: {sub.reason}",
+                    )
             else:
                 return Verdict(False, i, f"unknown step kind {step.kind!r}")
         except _Mismatch as err:
@@ -997,67 +1018,230 @@ def verify_derivation(
 
 # -- serialization ----------------------------------------------------------------
 
-
-def _expr_to_json(e: DoExpr) -> dict:
-    from .expr import expr_to_json
-
-    return expr_to_json(e)
+FORMAT = 2
 
 
-def _justification_to_json(j) -> dict:
-    if isinstance(j, RuleEvidence):
-        return {"type": "rule", **j.to_json()}
-    if isinstance(j, StepParams):
-        return {"type": "params", "vars": sorted(j.vars), "direction": j.direction}
-    if isinstance(j, Substitution):
-        return {"type": "substitution", "derivation": derivation_to_json(j.derivation)}
-    raise TypeError(j)
+def _site(b: DoExpr, a: DoExpr) -> tuple[Path, DoExpr, DoExpr]:
+    """The path to the subexpression that ``b`` and ``a`` differ in, and that
+    subexpression of each: everything off the path is equal.  Children are
+    compared by identity, and by equality only when several differ by
+    identity."""
+    path = []
+    while b is not a:
+        if isinstance(b, Sum) and isinstance(a, Sum) and b.bound == a.bound:
+            kids = [("body", b.body, a.body)]
+        elif isinstance(b, Quotient) and isinstance(a, Quotient):
+            kids = [("num", b.num, a.num), ("den", b.den, a.den)]
+        elif (isinstance(b, Product) and isinstance(a, Product)
+              and len(b.factors) == len(a.factors)):
+            kids = zip(range(len(b.factors)), b.factors, a.factors)
+        else:
+            break
+        differ = [k for k in kids if k[1] is not k[2]]
+        if len(differ) > 1:
+            differ = [k for k in differ if k[1] != k[2]]
+        if len(differ) != 1:
+            break
+        part, b, a = differ[0]
+        path.append(part)
+    return tuple(path), b, a
+
+
+class _Encoder:
+    """Writes the fragment table of one derivation file.  A class, not
+    closures: closures that call each other form a reference cycle that
+    would keep the whole encoded file alive until a full garbage
+    collection."""
+
+    def __init__(self, graph: CausalGraph):
+        self.graph = graph
+        self.fragments: list[dict] = []
+        self.index: dict[int, int] = {}
+
+    def fragment(self, nested: Derivation) -> int:
+        k = self.index.get(id(nested))
+        if k is None:
+            if nested.query is not None or nested.graph != self.graph:
+                raise ValueError(
+                    "a nested derivation must be a fragment on the derivation's graph"
+                )
+            body = self.body(nested)
+            k = self.index[id(nested)] = len(self.fragments)
+            self.fragments.append(body)
+        return k
+
+    def justification(self, j) -> dict:
+        if isinstance(j, RuleEvidence):
+            return {"type": "rule", **j.to_json()}
+        if isinstance(j, StepParams):
+            return {"type": "params", "vars": sorted(j.vars), "direction": j.direction}
+        if isinstance(j, Substitution):
+            return {"type": "substitution", "fragment": self.fragment(j.derivation)}
+        raise TypeError(j)
+
+    def body(self, x: Derivation) -> dict:
+        state = x.steps[0].before if x.steps else None
+        steps = []
+        for step in x.steps:
+            b, a = step.before, step.after
+            path = []
+            if b is state or b == state:
+                path, b, a = _site(b, a)
+            steps.append({
+                "kind": step.kind,
+                "path": list(path),
+                "before": expr_to_json(b),
+                "after": expr_to_json(a),
+                "justification": self.justification(step.justification),
+            })
+            state = step.after
+        return {
+            "initial": expr_to_json(x.steps[0].before) if x.steps else None,
+            "steps": steps,
+        }
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    out = {
-        "graph": d.graph.to_json(),
+    """Encode ``d`` as a format-2 derivation file.
+
+    The graph is written once.  Nested derivations become entries of
+    ``"fragments"``, each written once (shared fragments are found by
+    identity) and after every fragment it refers to.  A step stores its
+    ``path`` and the subexpressions at that path before and after the
+    rewrite; a step that does not chain from the previous state stores
+    path ``[]`` and both whole states, so every derivation round-trips.
+    """
+    graph = d.graph
+    encoder = _Encoder(graph)
+    root = encoder.body(d)
+    return {
+        "format": FORMAT,
+        "graph": graph.to_json(),
         "query": None
         if d.query is None
         else {
-            "do": list(d.graph.sorted_nodes(d.query[0])),
-            "on": list(d.graph.sorted_nodes(d.query[1])),
+            "do": list(graph.sorted_nodes(d.query[0])),
+            "on": list(graph.sorted_nodes(d.query[1])),
         },
-        "steps": [
-            {
-                "kind": s.kind,
-                "before": _expr_to_json(s.before),
-                "after": _expr_to_json(s.after),
-                "justification": _justification_to_json(s.justification),
-            }
-            for s in d.steps
-        ],
+        "fragments": encoder.fragments,
+        **root,
     }
-    return out
+
+
+def _path_from_json(data: list) -> Path:
+    for part in data:
+        if part not in ("body", "num", "den") and not (type(part) is int and part >= 0):
+            raise ValueError(f"unknown path element {part!r}")
+    return tuple(data)
+
+
+def _do_expr_from_json(data, observable: frozenset[str]) -> DoExpr:
+    """Decode an expression whose leaves must be sentences over observable
+    nodes, so that no later evaluation meets an unknown variable."""
+    e = expr_from_json(data)
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, DoSentence):
+            names = node.leaf_vars
+        elif isinstance(node, Sum):
+            names = node.bound
+            todo.append(node.body)
+        elif isinstance(node, Product):
+            todo.extend(node.factors)
+            continue
+        elif isinstance(node, Quotient):
+            todo += (node.num, node.den)
+            continue
+        elif isinstance(node, One):
+            continue
+        else:
+            raise ValueError("derivation expressions must have sentences as leaves")
+        if not names <= observable:
+            raise ValueError(f"{min(names - observable)!r} is not an observable node")
+    return e
+
+
+def _steps_from_json(data: Mapping, graph: CausalGraph, fragments: list[Derivation],
+                     total: int) -> tuple[DerivationStep, ...]:
+    """Decode one ``{"initial", "steps"}`` body.  ``fragments`` holds the
+    decoded fragments it may refer to, the first ``len(fragments)`` of the
+    file's ``total``."""
+    steps_data = json_field(data, "steps", list)
+    initial = json_field(data, "initial", (dict, type(None)))
+    if steps_data and initial is None:
+        raise ValueError("'initial' must be an object when there are steps")
+    observable = frozenset(graph.observable_names)
+    state = _do_expr_from_json(initial, observable) if steps_data else None
+    steps = []
+    for i, sd in enumerate(steps_data):
+        try:
+            kind = json_field(sd, "kind", str)
+            path = _path_from_json(json_field(sd, "path", list))
+            b_site = _do_expr_from_json(json_field(sd, "before", dict), observable)
+            a_site = _do_expr_from_json(json_field(sd, "after", dict), observable)
+            jd = json_field(sd, "justification", dict)
+            jtype = json_field(jd, "type", str)
+            if jtype == "rule":
+                just = evidence_from_json(jd, graph)
+            elif jtype == "params":
+                just = StepParams(
+                    vars=json_names(jd, "vars"), direction=json_field(jd, "direction", str)
+                )
+            elif jtype == "substitution":
+                k = json_field(jd, "fragment", int)
+                if not 0 <= k < total:
+                    raise ValueError(f"fragment {k} is out of range ({total} fragments)")
+                if k == len(fragments):
+                    raise ValueError(f"fragment {k} refers to itself")
+                if k > len(fragments):
+                    raise ValueError(f"fragment {k} is referred to before it is defined")
+                just = Substitution(fragments[k])
+            else:
+                raise ValueError(f"unknown justification type {jtype!r}")
+        except ValueError as err:
+            raise ValueError(f"steps[{i}]: {err}") from None
+        try:
+            # A chaining step starts from the previous state itself.
+            before = state if _get(state, path) == b_site else _replace(state, path, b_site)
+            after = _replace(state, path, a_site)
+        except KeyError:
+            # The path does not fit the previous state: take the sites as
+            # whole states, which the verifier's chaining check rejects.
+            before, after = b_site, a_site
+        steps.append(DerivationStep(kind, before, after, just))
+        state = after
+    return tuple(steps)
 
 
 def derivation_from_json(data: Mapping) -> Derivation:
-    from .expr import expr_from_json
+    """Decode a format-2 derivation file (see :func:`derivation_to_json`).
 
-    graph = CausalGraph.from_json(data["graph"])
-    query = None
-    if data["query"] is not None:
-        query = (frozenset(data["query"]["do"]), frozenset(data["query"]["on"]))
-    steps = []
-    for sd in data["steps"]:
-        jd = sd["justification"]
-        if jd["type"] == "rule":
-            just = evidence_from_json(jd, graph)
-        elif jd["type"] == "params":
-            just = StepParams(vars=frozenset(jd["vars"]), direction=jd["direction"])
-        else:
-            just = Substitution(derivation=derivation_from_json(jd["derivation"]))
-        steps.append(
-            DerivationStep(
-                kind=sd["kind"],
-                before=expr_from_json(sd["before"]),
-                after=expr_from_json(sd["after"]),
-                justification=just,
-            )
-        )
-    return Derivation(graph=graph, query=query, steps=tuple(steps))
+    Steps are rebuilt into full states and each fragment into one shared
+    :class:`Derivation`; rule evidence is taken as claimed, for the
+    verifier to recompute.  Malformed input raises ValueError.
+    """
+    where = "format"
+    try:
+        version = json_field(data, "format", int)
+        if version != FORMAT:
+            raise ValueError(f"unsupported version {version} (this reader takes {FORMAT})")
+        where = "graph"
+        graph = CausalGraph.from_json(json_field(data, "graph", dict))
+        where = "query"
+        qd = json_field(data, "query", (dict, type(None)))
+        query = None
+        if qd is not None:
+            query = (json_names(qd, "do"), json_names(qd, "on"))
+        fragments: list[Derivation] = []
+        where = "fragments"
+        fragments_data = json_field(data, "fragments", list)
+        for k, fd in enumerate(fragments_data):
+            where = f"fragments[{k}]"
+            steps = _steps_from_json(fd, graph, fragments, len(fragments_data))
+            fragments.append(Derivation(graph=graph, query=None, steps=steps))
+        where = "derivation"
+        steps = _steps_from_json(data, graph, fragments, len(fragments))
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+    return Derivation(graph=graph, query=query, steps=steps)

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .graph import json_field, json_names
 from .tables import JointTable
 
 __all__ = [
@@ -369,24 +370,28 @@ def expr_to_json(e) -> dict:
 
 
 def expr_from_json(data: Mapping):
-    kind = data["kind"]
+    """Inverse of :func:`expr_to_json`; malformed input raises ValueError."""
+    kind = json_field(data, "kind", str)
     if kind == "one":
         return One()
     if kind == "marginal":
-        return JointMarginal(data["vars"])
+        return JointMarginal(json_names(data, "vars"))
     if kind == "sum":
-        return Sum(data["bound"], expr_from_json(data["body"]))
+        return Sum(json_names(data, "bound"), expr_from_json(json_field(data, "body", dict)))
     if kind == "product":
-        return Product(expr_from_json(f) for f in data["factors"])
+        return Product(expr_from_json(f) for f in json_field(data, "factors", list))
     if kind == "quotient":
-        return Quotient(expr_from_json(data["num"]), expr_from_json(data["den"]))
+        return Quotient(
+            expr_from_json(json_field(data, "num", dict)),
+            expr_from_json(json_field(data, "den", dict)),
+        )
     if kind == "sentence":
         # Resolved by the derivation module; imported lazily to keep this
         # module free of that dependency.
         from .docalc import DoSentence
 
         return DoSentence(
-            frozenset(data["outcome"]), frozenset(data["do"]), frozenset(data["given"])
+            json_names(data, "outcome"), json_names(data, "do"), json_names(data, "given")
         )
     raise ValueError(f"unknown expression kind {kind!r}")
 

@@ -42,6 +42,36 @@ class GraphParseError(GraphError):
         super().__init__(f"line {line_no}: {message}")
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               bool: "a boolean", type(None): "null"}
+
+
+def json_field(obj, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]`` of decoded JSON, checked to be of type ``kind``.
+
+    Raises ValueError when ``obj`` is not an object, lacks ``key``, or holds
+    a value of another type (a boolean is not an integer)."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected an object, got {_JSON_TYPES.get(type(obj), 'a number')}")
+    try:
+        value = obj[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        raise ValueError(f"{key!r} must be " + " or ".join(_JSON_TYPES[k] for k in kinds))
+    return value
+
+
+def json_names(obj, key: str) -> frozenset[str]:
+    """``obj[key]`` of decoded JSON as a set of names; ValueError unless it
+    is a list of strings."""
+    names = json_field(obj, key, list)
+    if not set(map(type, names)) <= {str}:
+        raise ValueError(f"{key!r} must be a list of strings")
+    return frozenset(names)
+
+
 Names = Iterable[str]
 
 
@@ -380,9 +410,16 @@ class CausalGraph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CausalGraph":
-        nodes = [(d["name"], bool(d["observable"])) for d in data["nodes"]]
-        edges = [(p, c) for p, c in data["edges"]]
-        return cls(nodes, edges)
+        """Inverse of :meth:`to_json`; malformed input raises ValueError."""
+        nodes = [
+            (json_field(d, "name", str), json_field(d, "observable", bool))
+            for d in json_field(data, "nodes", list)
+        ]
+        edges = json_field(data, "edges", list)
+        for e in edges:
+            if type(e) is not list or len(e) != 2 or not all(type(n) is str for n in e):
+                raise GraphError("each edge must be a [parent, child] pair of names")
+        return cls(nodes, [(p, c) for p, c in edges])
 
     def to_dot(self, name: str = "G") -> str:
         """GraphViz DOT rendering; latent nodes are drawn dashed."""

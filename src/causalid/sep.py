@@ -6,9 +6,9 @@ entered the node from a child or from a parent, giving linear-time behaviour
 in the size of the graph.  Latent nodes take part in separation like any
 other node; the engine simply never puts them into conditioning sets.
 
-Each rule check returns an evidence object describing the exact mutilated
-graph and separation query that was tested, so derivation steps can embed
-independently re-checkable justifications.
+Each rule check returns an evidence object naming the edge cuts and the
+decision, so derivation steps can carry a claim that a verifier re-checks
+independently.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import CausalGraph, GraphError
+from .graph import CausalGraph, GraphError, json_field, json_names
 
 __all__ = [
     "SeparationQuery",
@@ -94,17 +94,17 @@ class RuleInstance:
 
 @dataclass(frozen=True)
 class RuleEvidence:
-    """The exact mutilated-graph separation test behind a rule decision.
+    """The mutilated-graph separation test behind a rule decision.
 
     ``cut_incoming``/``cut_outgoing`` are the node sets whose incoming and
-    outgoing edges were removed before testing ``query``.  Truthiness is the
-    decision itself.
+    outgoing edges were removed before testing whether ``instance.y`` is
+    d-separated from ``instance.z`` given ``instance.x | instance.w``.
+    Truthiness is the decision itself.
     """
 
     instance: RuleInstance
     cut_incoming: frozenset[str]
     cut_outgoing: frozenset[str]
-    query: SeparationQuery
     holds: bool
 
     def __bool__(self) -> bool:
@@ -126,15 +126,24 @@ class RuleEvidence:
 
 
 def evidence_from_json(data: Mapping, graph: CausalGraph) -> RuleEvidence:
+    """The evidence as claimed in ``data`` (see :meth:`RuleEvidence.to_json`).
+
+    Nothing is re-tested here: a verifier recomputes the claim with
+    :func:`rule_applicable`.  Malformed input raises ValueError."""
     instance = RuleInstance(
-        rule=int(data["rule"]),
-        x=frozenset(data["x"]),
-        y=frozenset(data["y"]),
-        z=frozenset(data["z"]),
-        w=frozenset(data["w"]),
+        rule=json_field(data, "rule", int),
+        x=json_names(data, "x"),
+        y=json_names(data, "y"),
+        z=json_names(data, "z"),
+        w=json_names(data, "w"),
         graph=graph,
     )
-    return rule_applicable(instance)
+    return RuleEvidence(
+        instance=instance,
+        cut_incoming=json_names(data, "cut_incoming"),
+        cut_outgoing=json_names(data, "cut_outgoing"),
+        holds=json_field(data, "holds", bool),
+    )
 
 
 def d_separated(q: SeparationQuery) -> bool:
@@ -218,6 +227,5 @@ def rule_applicable(r: RuleInstance) -> RuleEvidence:
         instance=r,
         cut_incoming=cut_in,
         cut_outgoing=cut_out,
-        query=query,
         holds=d_separated(query),
     )

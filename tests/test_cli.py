@@ -189,3 +189,159 @@ class TestExportDot:
         code = main(["export-dot", "--graph", str(p)])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fd_derivation(graphs, tmp_path):
+    """The front-door derivation file as parsed JSON."""
+    out = tmp_path / "fd.json"
+    assert main(["derive", "--graph", graphs["fd"], "--do", "X", "--on", "Y",
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def check_file(data, tmp_path, capsys) -> tuple[int, str, str]:
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["check", "--derivation", str(path), "--models", "0"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def first_step(data, kind):
+    """(fragment index or None, step index, step) of the first step of
+    ``kind``, searching the fragments first."""
+    for k, frag in enumerate(data["fragments"] + [data]):
+        for i, step in enumerate(frag["steps"]):
+            if step["kind"] == kind:
+                return (k if k < len(data["fragments"]) else None), i, step
+    raise AssertionError(f"no {kind} step")
+
+
+def substitution_in_fragment(data):
+    """(fragment index, step) of a substitution step inside a fragment."""
+    for k, frag in enumerate(data["fragments"]):
+        for step in frag["steps"]:
+            if step["justification"]["type"] == "substitution":
+                return k, step
+    raise AssertionError("no nested substitution")
+
+
+def _set_fragment_ref(offset):
+    def edit(data):
+        k, step = substitution_in_fragment(data)
+        step["justification"]["fragment"] = k + offset
+    return edit
+
+
+def _top_substitution(data):
+    return next(s for s in data["steps"] if s["kind"] == "FactorSubstitute")
+
+
+# name -> (in-place edit of the front-door file, text the error must contain)
+MALFORMED = {
+    "format missing": (lambda d: d.pop("format"), "missing key 'format'"),
+    "format 1": (lambda d: d.update(format=1), "unsupported version 1"),
+    "format as string": (lambda d: d.update(format="2"), "'format' must be an integer"),
+    "steps missing": (lambda d: d.pop("steps"), "missing key 'steps'"),
+    "graph missing": (lambda d: d.pop("graph"), "missing key 'graph'"),
+    "fragments missing": (lambda d: d.pop("fragments"), "missing key 'fragments'"),
+    "step kind missing": (lambda d: d["steps"][0].pop("kind"), "missing key 'kind'"),
+    "site missing": (lambda d: d["fragments"][0]["steps"][0].pop("after"),
+                     "fragments[0]: steps[0]: missing key 'after'"),
+    "path not a list": (lambda d: d["steps"][1].update(path="body"),
+                        "'path' must be a list"),
+    "holds not a boolean": (
+        lambda d: first_step(d, "Rule3")[2]["justification"].update(holds="yes"),
+        "'holds' must be a boolean"),
+    "names not strings": (lambda d: d["steps"][0]["before"].update(outcome=[1]),
+                          "'outcome' must be a list of strings"),
+    "unknown variable": (lambda d: d["steps"][0]["before"].update(outcome=["Q"]),
+                         "'Q' is not an observable node"),
+    "latent variable": (lambda d: d["steps"][0]["before"].update(outcome=["U"]),
+                        "'U' is not an observable node"),
+    "unknown expression kind": (lambda d: d["steps"][0]["before"].update(kind="cube"),
+                                "unknown expression kind 'cube'"),
+    "unknown justification": (
+        lambda d: d["steps"][0]["justification"].update(type="hunch"),
+        "unknown justification type 'hunch'"),
+    "unknown path element": (lambda d: d["steps"][1].update(path=["f"]),
+                             "unknown path element 'f'"),
+    "negative path element": (lambda d: d["steps"][1].update(path=[-1]),
+                              "unknown path element -1"),
+    "boolean path element": (lambda d: d["steps"][1].update(path=[True]),
+                             "unknown path element True"),
+    "graph node not an object": (lambda d: d["graph"]["nodes"].append("X"),
+                                 "graph: expected an object"),
+    "fragment out of range": (
+        lambda d: _top_substitution(d)["justification"].update(fragment=99),
+        "fragment 99 is out of range"),
+    "negative fragment": (
+        lambda d: _top_substitution(d)["justification"].update(fragment=-1),
+        "fragment -1 is out of range"),
+    "fragment refers to itself": (_set_fragment_ref(0), "refers to itself"),
+    "fragment refers forward": (_set_fragment_ref(1), "before it is defined"),
+}
+
+
+class TestMalformedDerivation:
+    @pytest.mark.parametrize("edit, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_exit_one_with_message(self, fd_derivation, tmp_path, capsys, edit, message):
+        edit(fd_derivation)
+        code, out, err = check_file(fd_derivation, tmp_path, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err, err
+
+    def test_not_an_object(self, fd_derivation, tmp_path, capsys):
+        code, out, err = check_file([fd_derivation], tmp_path, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: format: expected an object")
+
+    def test_nested_too_deeply(self, fd_derivation, tmp_path, capsys):
+        text = json.dumps(fd_derivation)
+        deep = '{"kind":"sum","bound":[],"body":' * 5000 + '{"kind":"one"}' + "}" * 5000
+        path = tmp_path / "deep.json"
+        path.write_text(text.replace('"initial": ', f'"initial": {deep}, "old": ', 1))
+        code = main(["check", "--derivation", str(path), "--models", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestClaimedEvidence:
+    """Rule evidence is decoded as claimed; the verifier must catch a claim
+    that differs from the recomputed separation test."""
+
+    def test_flipped_holds_exit_three(self, fd_derivation, tmp_path, capsys):
+        first_step(fd_derivation, "Rule2")[2]["justification"]["holds"] = False
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 3
+        assert "claimed edge cuts or verdict differ" in out
+
+    @pytest.mark.parametrize("key", ["cut_incoming", "cut_outgoing"])
+    def test_edited_cut_set_exit_three(self, fd_derivation, tmp_path, capsys, key):
+        just = first_step(fd_derivation, "Rule2")[2]["justification"]
+        just[key] = [] if just[key] else ["Z"]
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 3
+        assert "claimed edge cuts or verdict differ" in out
+
+
+class TestNestedRejection:
+    def test_reason_names_the_inner_step(self, fd_derivation, tmp_path, capsys):
+        i, step = next(
+            (i, s)
+            for frag in fd_derivation["fragments"]
+            for i, s in enumerate(frag["steps"])
+            if s["kind"] == "Rule3" and i > 0
+        )
+        step["kind"] = "Rule2"
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 3
+        assert f"nested derivation rejected at step {i}: sets do not match" in out
+
+    def test_empty_fragment_rejected(self, fd_derivation, tmp_path, capsys):
+        fd_derivation["fragments"][0].update(initial=None, steps=[])
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 3
+        assert "nested derivation has no steps" in out

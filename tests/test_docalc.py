@@ -9,13 +9,16 @@ from causalid.docalc import (
     DerivationStep,
     DoSentence,
     StepParams,
+    Substitution,
+    _get,
     derivation_from_json,
     derivation_to_json,
     derive_effect,
     expand_rule1,
     verify_derivation,
 )
-from causalid.expr import One, Quotient, Sum, evaluate_grid, free_vars
+from causalid.cli import main
+from causalid.expr import One, Quotient, Sum, evaluate_grid, expr_to_json, free_vars
 from causalid.graph import GraphError
 from causalid.ident import causal_effect
 from causalid.oracle import DoEvaluator, observational_joint, random_model
@@ -302,3 +305,108 @@ class TestRoundTrips:
         data["steps"][0]["after"] = data["steps"][0]["before"]
         bad = derivation_from_json(data)
         assert not verify_derivation(bad).accepted
+
+
+def nested_fragments(d):
+    """Every nested derivation reachable from ``d``, once per reference."""
+    for step in all_steps(d):
+        if isinstance(step.justification, Substitution):
+            yield step.justification.derivation
+
+
+def sweep_derivations():
+    """The derivations of the 60-graph random sweep above."""
+    rng = np.random.default_rng(123)
+    for _ in range(60):
+        g = random_dag(rng, n_obs=int(rng.integers(2, 6)),
+                       n_lat=int(rng.integers(0, 4)))
+        obs = list(g.observable_names)
+        rng.shuffle(obs)
+        n_t = int(rng.integers(1, len(obs)))
+        d = derive_effect(frozenset(obs[:n_t]), frozenset(obs[n_t:]), g)
+        if isinstance(d, Derivation):
+            yield d
+
+
+class TestFormat2:
+    def test_sweep_round_trips(self):
+        checked = 0
+        for d in sweep_derivations():
+            data = derivation_to_json(d)
+            assert data["format"] == 2
+            assert derivation_from_json(data) == d
+            checked += 1
+        assert checked >= 30
+
+    def test_each_fragment_written_once(self):
+        shared = 0
+        for d in sweep_derivations():
+            fragments = list(nested_fragments(d))
+            unique = {id(f) for f in fragments}
+            shared += len(fragments) > len(unique)
+            data = derivation_to_json(d)
+            assert len(data["fragments"]) == len(unique)
+            # post-order: a fragment refers only to earlier fragments
+            for k, body in enumerate(data["fragments"] + [data]):
+                for step in body["steps"]:
+                    just = step["justification"]
+                    if just["type"] == "substitution":
+                        assert 0 <= just["fragment"] < k
+        assert shared, "the sweep should exercise shared fragments"
+
+    def test_shared_fragment_decodes_to_one_object(self):
+        for d in sweep_derivations():
+            back = derivation_from_json(derivation_to_json(d))
+            pairs = zip(nested_fragments(d), nested_fragments(back))
+            by_id = {}
+            for orig, decoded in pairs:
+                assert by_id.setdefault(id(orig), decoded) is decoded
+            assert len(set(map(id, by_id.values()))) == len(by_id)
+
+    def test_fragment_used_twice_in_one_derivation(self, g_frontdoor):
+        d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+        step = next(s for s in d.steps if isinstance(s.justification, Substitution))
+        twice = Derivation(d.graph, None, (step, step))
+        data = derivation_to_json(twice)
+        assert len(data["fragments"]) == len(
+            {id(f) for f in nested_fragments(twice)}
+        )
+        back = derivation_from_json(data)
+        assert back == twice
+        assert back.steps[0].justification.derivation is \
+            back.steps[1].justification.derivation
+
+    def test_non_chaining_derivation_round_trips(self, g_backdoor):
+        d = derive_effect({"X"}, {"Y"}, g_backdoor)
+        steps = list(d.steps)
+        del steps[1]
+        broken = Derivation(d.graph, d.query, tuple(steps))
+        data = derivation_to_json(broken)
+        assert data["steps"][1]["path"] == []
+        back = derivation_from_json(data)
+        assert back == broken
+        want = verify_derivation(broken, models=0)
+        assert not want.accepted
+        assert verify_derivation(back, models=0) == want
+
+    def test_steps_store_only_the_site(self, g_frontdoor):
+        d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+        data = derivation_to_json(d)
+        assert any(step["path"] for step in data["steps"])
+        for step, sd in zip(d.steps, data["steps"]):
+            assert sd["before"] == expr_to_json(_get(step.before, tuple(sd["path"])))
+            assert sd["after"] == expr_to_json(_get(step.after, tuple(sd["path"])))
+
+    def test_derive_out_is_byte_identical(self, tmp_path):
+        graph = tmp_path / "fd.cg"
+        graph.write_text(
+            "node X obs\nnode Z obs\nnode Y obs\nnode U lat\n"
+            "edge X Z\nedge Z Y\nedge U X\nedge U Y\n"
+        )
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["derive", "--graph", str(graph), "--do", "X", "--on", "Y",
+                         "--out", str(out)]) == 0
+        first = outs[0].read_bytes()
+        assert first == outs[1].read_bytes()
+        assert b"\n" not in first[:-1] and b": " not in first
