@@ -32,6 +32,7 @@ from pathlib import Path
 from .ccomp import c_components
 from .docalc import (
     Derivation,
+    Verdict,
     derivation_from_json,
     derivation_to_json,
     derive_effect,
@@ -128,9 +129,14 @@ def _cmd_derive(args) -> int:
 def _cmd_check(args) -> int:
     data = json.loads(Path(args.derivation).read_text())
     d = derivation_from_json(data)
-    verdict = verify_derivation(
-        d, models=args.models, seed=args.seed, tolerance=args.tolerance
-    )
+    if d.query is None:
+        # The verifier accepts a free-standing fragment, but a file must
+        # tie its chain to the effect it claims to identify.
+        verdict = Verdict(False, None, 'derivation file has no query ("query" is null)')
+    else:
+        verdict = verify_derivation(
+            d, models=args.models, seed=args.seed, tolerance=args.tolerance
+        )
     if verdict.accepted:
         _emit(
             {"accepted": True, "steps": len(d.steps)},
@@ -141,7 +147,9 @@ def _cmd_check(args) -> int:
     _emit(
         {"accepted": False, "step": verdict.step, "reason": verdict.reason},
         args.json,
-        f"derivation rejected at step {verdict.step}: {verdict.reason}",
+        "derivation rejected"
+        + ("" if verdict.step is None else f" at step {verdict.step}")
+        + f": {verdict.reason}",
     )
     return EXIT_REJECTED
 

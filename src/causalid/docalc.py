@@ -10,10 +10,10 @@ rules 2 and 3 suffice (see :func:`expand_rule1`).
 
 The verifier trusts nothing from the generator: each step's changed
 subexpression is located by diffing, the claimed rule instances are rebuilt
-from the leaves and re-tested on freshly mutilated graphs, the structural
-schemas are re-checked, and each step is numerically spot-verified on
-random positive models through the oracle's interventional-sentence
-evaluator.
+from the leaves and their separation tests re-run on the graph with each
+rule's edge cuts applied, the structural schemas are re-checked, and each
+step is numerically spot-verified on random positive models through the
+oracle's interventional-sentence evaluator.
 """
 
 from __future__ import annotations
@@ -550,36 +550,25 @@ class _PrefixPlan:
     k: int
 
 
-def derive_effect(
-    t: Iterable[str], s: Iterable[str], g: CausalGraph
-) -> "Derivation | IdentResult":
-    """Compile the identification of P_t(s) into a checkable derivation.
+class _Reducer:
+    """Builds the reduction fragments of one derivation: one fragment per
+    distinct (sentence, plan) pair, so that repeat occurrences are rewritten
+    by a single substitution step carrying the fragment as its
+    justification, which keeps the main derivation and every fragment small
+    even when the recursion revisits a factor.  A class, not closures:
+    closures that call each other form a reference cycle that would keep
+    every fragment alive until a full garbage collection."""
 
-    Mirrors the identification recursion exactly: it returns the
-    not-identifiable result in precisely the cases where the estimand
-    construction does, and otherwise a derivation from P(s | do(t)) to an
-    observational expression, using only rules 2 and 3 plus probability
-    manipulations.
-    """
-    t, s = frozenset(t), frozenset(s)
-    if not t:
-        raise GraphError("derivations require a nonempty do-set")
-    res, trace = _causal_effect_traced(t, s, g)
-    if not res.identifiable:
-        return res
-    g2 = trace.graph
-    n = frozenset(g2.observable_names)
+    def __init__(self, graph: CausalGraph):
+        self.graph = graph
+        self.n = frozenset(graph.observable_names)
+        self.memo: dict[tuple[DoSentence, object], tuple[DoExpr, Derivation]] = {}
+        self.in_progress: set[tuple[DoSentence, object]] = set()
 
-    # One reduction fragment per distinct (sentence, plan) pair; repeat
-    # occurrences are rewritten by a single substitution step carrying the
-    # fragment as its justification, which keeps the main derivation and
-    # every fragment small even when the recursion revisits a factor.
-    memo: dict[tuple[DoSentence, object], tuple[DoExpr, Derivation]] = {}
-    in_progress: set[tuple[DoSentence, object]] = set()
-
-    def run_plan(wr: _Writer, path: Path, plan) -> list[tuple[Path, object]]:
+    def run_plan(self, wr: _Writer, path: Path, plan) -> list[tuple[Path, object]]:
         """Execute one reduction stage; returns worklist items for the
         pending sentences it leaves behind."""
+        n = self.n
         if isinstance(plan, _IdentPlan):
             tr = plan.tr
             t_z, a_z = tr.levels[-1]
@@ -587,7 +576,7 @@ def derive_effect(
             if t_z == tr.c:
                 # The block is its whole component; go straight to the
                 # component factorization of the covering scope.
-                return run_plan(wr, path, _LevelPlan(tr, len(tr.levels) - 1))
+                return self.run_plan(wr, path, _LevelPlan(tr, len(tr.levels) - 1))
             leaf = _emit_expand(wr, path, t_z, tr.c)
             return [(leaf, _LevelPlan(tr, len(tr.levels) - 1))]
         if isinstance(plan, _LevelPlan):
@@ -611,32 +600,53 @@ def derive_effect(
             return [(leaf, _LevelPlan(tr, k - 1))]
         raise GraphError(f"internal error: unknown plan {plan!r}")
 
-    def reduce_items(wr: _Writer, items: list[tuple[Path, object]]):
+    def reduce_items(self, wr: _Writer, items: list[tuple[Path, object]]):
         # Leaf substitution never moves sibling paths, so the recorded
         # worklist positions stay valid throughout.
         for path, plan in items:
             sentence = wr.at(path)
             if not sentence.do:
                 continue
-            final, fragment = fragment_for(sentence, plan)
+            final, fragment = self.fragment_for(sentence, plan)
             wr.apply(SUBSTITUTE, path, final, Substitution(fragment))
 
-    def fragment_for(sentence: DoSentence, plan) -> tuple[DoExpr, Derivation]:
+    def fragment_for(self, sentence: DoSentence, plan) -> tuple[DoExpr, Derivation]:
         key = (sentence, plan)
-        hit = memo.get(key)
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
-        if key in in_progress:
+        if key in self.in_progress:
             raise GraphError(f"internal error: cyclic reduction of {sentence}")
-        in_progress.add(key)
-        wf = _Writer(g2, sentence)
-        reduce_items(wf, run_plan(wf, (), plan))
-        in_progress.discard(key)
+        self.in_progress.add(key)
+        wf = _Writer(self.graph, sentence)
+        self.reduce_items(wf, self.run_plan(wf, (), plan))
+        self.in_progress.discard(key)
         if not wf.steps:
             raise GraphError(f"internal error: empty reduction for {sentence}")
-        result = (wf.state, Derivation(graph=g2, query=None, steps=tuple(wf.steps)))
-        memo[key] = result
+        result = (wf.state, Derivation(graph=self.graph, query=None, steps=tuple(wf.steps)))
+        self.memo[key] = result
         return result
+
+
+def derive_effect(
+    t: Iterable[str], s: Iterable[str], g: CausalGraph
+) -> "Derivation | IdentResult":
+    """Compile the identification of P_t(s) into a checkable derivation.
+
+    Mirrors the identification recursion exactly: it returns the
+    not-identifiable result in precisely the cases where the estimand
+    construction does, and otherwise a derivation from P(s | do(t)) to an
+    observational expression, using only rules 2 and 3 plus probability
+    manipulations.
+    """
+    t, s = frozenset(t), frozenset(s)
+    if not t:
+        raise GraphError("derivations require a nonempty do-set")
+    res, trace = _causal_effect_traced(t, s, g)
+    if not res.identifiable:
+        return res
+    g2 = trace.graph
+    n = frozenset(g2.observable_names)
 
     w = _Writer(g2, DoSentence(outcome=s, do=t, given=frozenset()))
     # Phase A: spread the query over the unfixed observables.
@@ -669,6 +679,7 @@ def derive_effect(
         _q_sentence(g2, sb): _IdentPlan(tr)
         for sb, tr in zip(trace.cq.s_blocks, trace.cq.identify_traces)
     }
+    reducer = _Reducer(g2)
     while True:
         pending = _find_pending(w.state)
         if pending is None:
@@ -677,7 +688,7 @@ def derive_effect(
         plan = plan_of.get(sentence)
         if plan is None:
             raise GraphError(f"internal error: unplanned sentence {sentence}")
-        reduce_items(w, [(path, plan)])
+        reducer.reduce_items(w, [(path, plan)])
     return Derivation(graph=g2, query=(t, s), steps=tuple(w.steps))
 
 

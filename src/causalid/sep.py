@@ -3,8 +3,11 @@
 Separation is decided by reachability over active trails: the search visits
 ``(node, direction)`` states, where the direction records whether the trail
 entered the node from a child or from a parent, giving linear-time behaviour
-in the size of the graph.  Latent nodes take part in separation like any
-other node; the engine simply never puts them into conditioning sets.
+in the size of the graph (the Bayes-ball walk of Shachter 1998).  A rule's
+edge cuts are applied by leaving the cut edges out of the walk over the
+base graph's index adjacency, so no mutilated graph is built.  Latent nodes
+take part in separation like any other node; the engine simply never puts
+them into conditioning sets.
 
 Each rule check returns an evidence object naming the edge cuts and the
 decision, so derivation steps can carry a claim that a verifier re-checks
@@ -13,7 +16,6 @@ independently.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -94,12 +96,12 @@ class RuleInstance:
 
 @dataclass(frozen=True)
 class RuleEvidence:
-    """The mutilated-graph separation test behind a rule decision.
+    """The separation test behind a rule decision.
 
     ``cut_incoming``/``cut_outgoing`` are the node sets whose incoming and
-    outgoing edges were removed before testing whether ``instance.y`` is
-    d-separated from ``instance.z`` given ``instance.x | instance.w``.
-    Truthiness is the decision itself.
+    outgoing edges the rule cuts; the test is whether ``instance.y`` is
+    d-separated from ``instance.z`` given ``instance.x | instance.w`` on the
+    graph with those cuts applied.  Truthiness is the decision itself.
     """
 
     instance: RuleInstance
@@ -146,6 +148,73 @@ def evidence_from_json(data: Mapping, graph: CausalGraph) -> RuleEvidence:
     )
 
 
+def _ancestors(g: CausalGraph, seeds: Iterable[int], cut_in: frozenset[int],
+               cut_out: frozenset[int]) -> set[int]:
+    """``seeds`` and every node with a directed path into them once the
+    incoming edges of ``cut_in`` and the outgoing edges of ``cut_out`` are
+    removed."""
+    parents = g._parents
+    out = set(seeds)
+    frontier = [v for v in out if v not in cut_in]
+    while frontier:
+        for p in parents[frontier.pop()]:
+            if p not in out and p not in cut_out:
+                out.add(p)
+                if p not in cut_in:
+                    frontier.append(p)
+    return out
+
+
+def _separated(g: CausalGraph, xs: frozenset[int], ys: frozenset[int],
+               zs: frozenset[int], cut_in: frozenset[int] = frozenset(),
+               cut_out: frozenset[int] = frozenset()) -> bool:
+    """True iff ``xs`` is d-separated from ``ys`` given ``zs`` (node indices)
+    in ``g`` with every edge ``p -> c`` removed where ``c`` is in ``cut_in``
+    or ``p`` is in ``cut_out``.
+
+    The cut edges are left out of the walk, so no mutilated graph is built.
+    Colliders are open iff they or one of their descendants is conditioned
+    on; chain and fork nodes are blocked iff conditioned on.
+    """
+    parents, children = g._parents, g._children
+    # Nodes that are in z or have a descendant in z: these open colliders.
+    opens = _ancestors(g, zs, cut_in, cut_out) if zs else ()
+    # The walk's states: a node entered from a child (``up``) or from a
+    # parent (``down``).
+    seen_up: set[int] = set()
+    seen_down: set[int] = set()
+    up, down = list(xs), []
+    while up or down:
+        if up:
+            v = up.pop()
+            if v in seen_up or v in zs:
+                continue  # visited, or a conditioned chain or fork
+            seen_up.add(v)
+            to_parents = True
+        else:
+            v = down.pop()
+            if v in seen_down:
+                continue
+            seen_down.add(v)
+            to_parents = v in opens  # an open collider turns back up
+        if v not in zs:
+            if v in ys:
+                return False
+            if v not in cut_out:
+                for c in children[v]:
+                    if c not in cut_in:
+                        down.append(c)
+        if to_parents and v not in cut_in:
+            for p in parents[v]:
+                if p not in cut_out:
+                    up.append(p)
+    return True
+
+
+def _indices(g: CausalGraph, names: frozenset[str]) -> frozenset[int]:
+    return frozenset(map(g._index.__getitem__, names))
+
+
 def d_separated(q: SeparationQuery) -> bool:
     """True iff every trail between ``q.x`` and ``q.y`` is blocked by ``q.z``.
 
@@ -153,37 +222,7 @@ def d_separated(q: SeparationQuery) -> bool:
     on; chain and fork nodes are blocked iff conditioned on.
     """
     g = q.graph
-    cond = {g.index(n) for n in q.z}
-    targets = {g.index(n) for n in q.y}
-    # Nodes that are in z or have a descendant in z: these open colliders.
-    opens = {g.index(n) for n in g.ancestors(q.z)} if q.z else set()
-
-    parents = [tuple(g.index(p) for p in g.parents_of(n)) for n in g.names]
-    children = [tuple(g.index(c) for c in g.children_of(n)) for n in g.names]
-
-    UP, DOWN = 0, 1  # direction the trail came from: child side / parent side
-    queue = deque((g.index(n), UP) for n in q.x)
-    visited: set[tuple[int, int]] = set()
-    while queue:
-        v, d = queue.popleft()
-        if (v, d) in visited:
-            continue
-        visited.add((v, d))
-        if v not in cond and v in targets:
-            return False
-        if d == UP and v not in cond:
-            for p in parents[v]:
-                queue.append((p, UP))
-            for c in children[v]:
-                queue.append((c, DOWN))
-        elif d == DOWN:
-            if v not in cond:
-                for c in children[v]:
-                    queue.append((c, DOWN))
-            if v in opens:
-                for p in parents[v]:
-                    queue.append((p, UP))
-    return True
+    return _separated(g, _indices(g, q.x), _indices(g, q.y), _indices(g, q.z))
 
 
 def z_w(
@@ -197,8 +236,8 @@ def z_w(
     xs, zs, ws = frozenset(x), frozenset(z), frozenset(w)
     if not _disjoint(xs, zs, ws):
         raise GraphError("z_w sets must be pairwise disjoint")
-    cut = g.cut_incoming(xs)
-    return frozenset(v for v in zs if not (cut.descendants([v]) & ws))
+    zidx = g._resolve(zs)
+    return g._to_names(zidx - _ancestors(g, g._resolve(ws), g._resolve(xs), frozenset()))
 
 
 def rule_applicable(r: RuleInstance) -> RuleEvidence:
@@ -209,23 +248,21 @@ def rule_applicable(r: RuleInstance) -> RuleEvidence:
     exchange) runs the same test with the outgoing edges of ``z`` cut as
     well.  Rule 3 (insertion/deletion of actions) cuts the incoming edges of
     ``x`` together with those members of ``z`` that have no descendant in
-    ``w`` after the ``x`` cut.
+    ``w`` after the ``x`` cut.  The test runs on ``r.graph`` with the edge
+    cuts left out of the walk.
     """
     g = r.graph
+    x, y, z, w = (_indices(g, s) for s in (r.x, r.y, r.z, r.w))
+    cut_out: frozenset[int] = frozenset()
     if r.rule == 1:
-        cut_in, cut_out = r.x, frozenset()
-        mutilated = g.cut_incoming(r.x)
+        cut_in = x
     elif r.rule == 2:
-        cut_in, cut_out = r.x, r.z
-        mutilated = g.cut_incoming(r.x).cut_outgoing(r.z)
+        cut_in, cut_out = x, z
     else:
-        cut_in = r.x | z_w(g, r.x, r.z, r.w)
-        cut_out = frozenset()
-        mutilated = g.cut_incoming(cut_in)
-    query = SeparationQuery(x=r.y, y=r.z, z=r.x | r.w, graph=mutilated)
+        cut_in = x | (z - _ancestors(g, w, x, frozenset()))
     return RuleEvidence(
         instance=r,
-        cut_incoming=cut_in,
-        cut_outgoing=cut_out,
-        holds=d_separated(query),
+        cut_incoming=g._to_names(cut_in),
+        cut_outgoing=g._to_names(cut_out),
+        holds=_separated(g, y, z, x | w, cut_in, cut_out),
     )

@@ -410,11 +410,12 @@ class TestCriterion8MarkovProperty:
                 independent = ci_check(m, q, tolerance=TOL)
                 if separated and not independent:
                     sep_violations += 1
-                if not independent and separated:
+                if not separated and independent:
                     ci_fail_but_connected += 1
         ok = sep_violations == 0 and ci_fail_but_connected == 0
         report(
             "criterion 8: d-separation vs Markov property",
             ok,
-            f"{models} models, {triples} triples, {sep_violations} violations",
+            f"{models} models, {triples} triples, {sep_violations} violations, "
+            f"{ci_fail_but_connected} d-connected but independent",
         )

@@ -327,6 +327,14 @@ class TestClaimedEvidence:
         assert "claimed edge cuts or verdict differ" in out
 
 
+class TestQuerylessFile:
+    def test_null_query_exit_three(self, fd_derivation, tmp_path, capsys):
+        fd_derivation["query"] = None
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 3
+        assert out == 'derivation rejected: derivation file has no query ("query" is null)\n'
+
+
 class TestNestedRejection:
     def test_reason_names_the_inner_step(self, fd_derivation, tmp_path, capsys):
         i, step = next(

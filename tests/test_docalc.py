@@ -1,6 +1,9 @@
 """Derivation generation, verification, tampering rejection, and the
 rule-1 elimination property."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -326,6 +329,24 @@ def sweep_derivations():
         d = derive_effect(frozenset(obs[:n_t]), frozenset(obs[n_t:]), g)
         if isinstance(d, Derivation):
             yield d
+
+
+class TestLifetime:
+    def test_fragments_freed_without_full_collection(self, g_frontdoor):
+        # Reference counting alone must free the fragments once the
+        # derivation is dropped: nothing in derive_effect may leave a
+        # reference cycle that holds them.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+            refs = [weakref.ref(f) for f in nested_fragments(d)]
+            assert refs
+            del d
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFormat2:

@@ -189,3 +189,47 @@ class TestRules:
             "cut_outgoing": ["X"],
             "holds": True,
         }
+
+
+def reference_evidence(r):
+    """The rule test built the long way: mutilated graphs and name-level
+    descendant sets."""
+    g = r.graph
+    if r.rule == 1:
+        cut_in, cut_out = r.x, frozenset()
+    elif r.rule == 2:
+        cut_in, cut_out = r.x, r.z
+    else:
+        cut = g.cut_incoming(r.x)
+        cut_in = r.x | {v for v in r.z if not (cut.descendants([v]) & r.w)}
+        cut_out = frozenset()
+    mutilated = g.cut_incoming(cut_in).cut_outgoing(cut_out)
+    holds = d_separated(SeparationQuery(r.y, r.z, r.x | r.w, mutilated))
+    return cut_in, cut_out, holds
+
+
+class TestEdgeCutWalk:
+    def test_matches_mutilated_graph_construction(self):
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for _ in range(300):
+            g = random_dag(rng, n_obs=int(rng.integers(3, 8)),
+                           n_lat=int(rng.integers(0, 3)),
+                           p_edge=float(rng.uniform(0.2, 0.6)))
+            # Roles 0..3 are y, z, x, w and 4 is none; y and z are nonempty.
+            roles = rng.integers(0, 5, size=len(g))
+            roles[rng.choice(len(g), size=2, replace=False)] = (0, 1)
+            y, z, x, w = ({n for n, k in zip(g.names, roles) if k == role}
+                          for role in range(4))
+            for rule in (1, 2, 3):
+                r = RuleInstance(rule, frozenset(x), frozenset(y), frozenset(z),
+                                 frozenset(w), g)
+                ev = rule_applicable(r)
+                want = reference_evidence(r)
+                assert (ev.cut_incoming, ev.cut_outgoing, ev.holds) == want
+                outcomes.add((rule, ev.holds))
+            assert z_w(g, x, z, w) == {
+                v for v in z if not (g.cut_incoming(x).descendants([v]) & w)
+            }
+        # Both verdicts of every rule were exercised.
+        assert len(outcomes) == 6
