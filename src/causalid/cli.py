@@ -197,7 +197,6 @@ def _cmd_oracle_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         tolerance=args.tolerance,
-        threads=args.threads,
     )
     data = {"identifiable": True, "report": report.to_json()}
     human = (
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--trials", type=int, default=100)
     p2.add_argument("--seed", type=int, default=0)
     p2.add_argument("--tolerance", type=float, default=1e-9)
-    p2.add_argument("--threads", type=int, default=1)
     p2.set_defaults(func=_cmd_oracle_verify)
 
     p2 = osub.add_parser("witness", help="search for a non-identifiability witness")

@@ -10,8 +10,8 @@ are built on top of these primitives.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,27 +52,43 @@ class DiscreteModel:
     cards: tuple[int, ...]
     cpts: tuple[np.ndarray, ...]
     epsilon: float = 0.0
+    _plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.cards) != len(self.graph) or len(self.cpts) != len(self.graph):
             raise ValueError("one card and one table per node required")
-        if int(np.prod(self.cards)) > MAX_STATES:
+        if math.prod(self.cards) > MAX_STATES:
             raise EnumerationLimitError(
-                f"{int(np.prod(self.cards))} joint states exceed the "
+                f"{math.prod(self.cards)} joint states exceed the "
                 f"{MAX_STATES}-state enumeration budget"
             )
         for i, cpt in enumerate(self.cpts):
             rows = cpt.sum(axis=-1)
-            if not np.allclose(rows, 1.0, atol=1e-12):
+            # np.allclose(rows, 1.0, atol=1e-12) without its overhead: the
+            # default rtol 1e-5 against 1.0; NaN rows fail the comparison.
+            if not (np.abs(rows - 1.0) <= 1e-12 + 1e-5).all():
                 raise ValueError(f"conditional table of node {self.graph.names[i]!r} "
                                  "does not sum to 1")
+        object.__setattr__(self, "_plan", _factor_plan(self.graph, self.cards))
 
     def card(self, name: str) -> int:
         return self.cards[self.graph.index(name)]
 
-    def _parent_idx(self, i: int) -> list[int]:
-        g = self.graph
-        return [g.index(p) for p in g.parents_of(g.names[i])]
+
+def _factor_plan(g: CausalGraph, cards: Sequence[int]) -> tuple:
+    """Per node, the transpose that puts its table's axes (parents, then the
+    node itself) in index order, and the shape that broadcasts the result
+    over the full node grid."""
+    n = len(g)
+    plan = []
+    for i in range(n):
+        axes = g._parents[i] + (i,)
+        perm = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+        shape = [1] * n
+        for ax in axes:
+            shape[ax] = cards[ax]
+        plan.append((perm, tuple(shape)))
+    return tuple(plan)
 
 
 def random_model(
@@ -104,26 +120,24 @@ def random_model(
     return DiscreteModel(graph=g, cards=cards, cpts=tuple(cpts), epsilon=epsilon)
 
 
-def _factor_product(m: DiscreteModel, skip: frozenset[int]) -> np.ndarray:
-    """Product of all conditional tables except those of ``skip`` nodes,
-    as an array over the full node grid."""
-    n = len(m.graph)
-    out = np.ones(m.cards)
-    for i in range(n):
+def _factor_product(
+    cards: tuple[int, ...], plan: tuple, cpts: Sequence[np.ndarray],
+    skip: frozenset[int] = frozenset(), sum_axes: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Product of the conditional tables ``cpts`` except those of ``skip``
+    nodes over the full node grid, with the ``sum_axes`` summed out;
+    ``plan`` is the model's factor plan."""
+    out = np.ones(cards)
+    for i, (perm, shape) in enumerate(plan):
         if i in skip:
             continue
-        axes = m._parent_idx(i) + [i]
-        cpt = m.cpts[i].transpose(np.argsort(axes))
-        shape = [1] * n
-        for ax in axes:
-            shape[ax] = m.cards[ax]
-        out = out * cpt.reshape(shape)
-    return out
+        out = out * cpts[i].transpose(perm).reshape(shape)
+    return out.sum(axis=sum_axes) if sum_axes else out
 
 
 def full_joint_array(m: DiscreteModel) -> np.ndarray:
     """Exact joint over every node (latents included), graph index order."""
-    return _factor_product(m, frozenset())
+    return _factor_product(m.cards, m._plan, m.cpts)
 
 
 def full_joint(m: DiscreteModel) -> JointTable:
@@ -133,10 +147,8 @@ def full_joint(m: DiscreteModel) -> JointTable:
 def observational_joint(m: DiscreteModel) -> JointTable:
     """The observed distribution: the full joint with latents summed out."""
     g = m.graph
-    arr = full_joint_array(m)
     latent_axes = tuple(g.index(n) for n in g.latent_names)
-    if latent_axes:
-        arr = arr.sum(axis=latent_axes)
+    arr = _factor_product(m.cards, m._plan, m.cpts, sum_axes=latent_axes)
     return JointTable(g.observable_names, arr)
 
 
@@ -149,11 +161,8 @@ def intervened_array(m: DiscreteModel, t_vars: frozenset[str]) -> np.ndarray:
         if not g.is_observable(v):
             raise GraphError(f"cannot intervene on latent node {v!r}")
     skip = frozenset(g.index(v) for v in t_vars)
-    arr = _factor_product(m, skip)
     latent_axes = tuple(g.index(n) for n in g.latent_names)
-    if latent_axes:
-        arr = arr.sum(axis=latent_axes)
-    return arr
+    return _factor_product(m.cards, m._plan, m.cpts, skip, latent_axes)
 
 
 def interventional_truth(
@@ -290,7 +299,6 @@ def check_estimand(
     seed: int = 0,
     tolerance: float = 1e-9,
     arity: int | Mapping[str, int] = 2,
-    threads: int = 1,
 ) -> CheckReport:
     """Compare an estimand against P_t(s) on random positive models.
 
@@ -304,30 +312,22 @@ def check_estimand(
     if not free_vars(e) <= (t_vars | s_vars):
         raise ValueError("estimand has free variables outside s and t")
     order = list(g.sorted_nodes(t_vars)) + list(g.sorted_nodes(s_vars))
-    n_t = len(t_vars)
+    keep = t_vars | s_vars
+    drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in keep)
+    # axes of the summed truth follow observable index order; permute to `order`
+    current = [n for n in g.observable_names if n in keep]
+    perm = [current.index(n) for n in order]
 
     def one_trial(i: int) -> tuple[int, float, bool]:
         model_seed = seed + i
         m = random_model(g, arity=arity, seed=model_seed)
-        joint = observational_joint(m)
-        est = evaluate_grid(e, joint, order)
+        est = evaluate_grid(e, observational_joint(m), order)
         arr = intervened_array(m, t_vars)
-        keep = [g.index(n) for n in order]
-        drop = tuple(
-            ax for ax, n in enumerate(g.observable_names) if g.index(n) not in keep
-        )
-        truth = arr.sum(axis=drop) if drop else arr
-        # axes of truth follow observable index order; permute to `order`
-        current = [n for n in g.observable_names if n in set(order)]
-        truth = truth.transpose([current.index(n) for n in order])
+        truth = (arr.sum(axis=drop) if drop else arr).transpose(perm)
         err = float(np.max(np.abs(est - truth)))
         return (model_seed, err, err <= tolerance)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_model = tuple(pool.map(one_trial, range(trials)))
-    else:
-        per_model = tuple(one_trial(i) for i in range(trials))
+    per_model = tuple(one_trial(i) for i in range(trials))
     max_err = max((e_ for _, e_, _ in per_model), default=0.0)
     return CheckReport(
         trials=trials, tolerance=tolerance, max_abs_error=max_err, per_model=per_model
@@ -389,26 +389,85 @@ def _theta_shapes(m: DiscreteModel) -> list[tuple[int, ...]]:
     return [cpt.shape for cpt in m.cpts]
 
 
-def _model_from_theta(
-    g: CausalGraph, cards: tuple[int, ...], shapes, theta: np.ndarray,
-    epsilon: float,
-) -> DiscreteModel:
-    cpts = []
+def _blocks(shapes) -> list[tuple[int, int, tuple[int, ...]]]:
+    """``(start, stop, shape)`` of each node's block of the parameter vector."""
+    out = []
     pos = 0
-    for i, shape in enumerate(shapes):
+    for shape in shapes:
         size = int(np.prod(shape))
-        block = theta[pos:pos + size].reshape(shape)
+        out.append((pos, pos + size, shape))
         pos += size
+    return out
+
+
+def _cpts_from_theta(
+    cards: tuple[int, ...], blocks, theta: np.ndarray, epsilon: float
+) -> list[np.ndarray]:
+    """Conditional tables of a parameter vector: a softmax over each row of
+    each block, mixed with the uniform distribution to the ``epsilon``
+    floor."""
+    cpts = []
+    for i, (start, stop, shape) in enumerate(blocks):
+        block = theta[start:stop].reshape(shape)
         block = block - block.max(axis=-1, keepdims=True)
         p = np.exp(block)
         p /= p.sum(axis=-1, keepdims=True)
         p = (1.0 - cards[i] * epsilon) * p + epsilon
         cpts.append(p)
+    return cpts
+
+
+def _model_from_theta(
+    g: CausalGraph, cards: tuple[int, ...], shapes, theta: np.ndarray,
+    epsilon: float,
+) -> DiscreteModel:
+    cpts = _cpts_from_theta(cards, _blocks(shapes), theta, epsilon)
     return DiscreteModel(graph=g, cards=cards, cpts=tuple(cpts), epsilon=epsilon)
 
 
 def _theta_of(m: DiscreteModel) -> np.ndarray:
     return np.concatenate([np.log(cpt).ravel() for cpt in m.cpts])
+
+
+class _WitnessGaps:
+    """Observational and causal gaps between a fixed base model and
+    candidates on its graph.
+
+    The causal gap compares P_t over s ∪ t.  The base model's tables are
+    computed once.  A candidate given as a parameter vector is scored on its
+    raw conditional tables through the same factor products that
+    :func:`observational_joint` and :func:`intervened_array` run on the
+    model :func:`_model_from_theta` would build, so both routes give the
+    same floats.
+    """
+
+    def __init__(self, base: DiscreteModel, t_vars: frozenset[str], s_vars: frozenset[str]):
+        g = base.graph
+        keep = t_vars | s_vars
+        self._t_vars = t_vars
+        self._drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in keep)
+        self._base = self._tables(base)
+        self._latent = tuple(g.index(n) for n in g.latent_names)
+        self._skip = frozenset(g.index(v) for v in t_vars)
+        self._cards, self._plan, self._epsilon = base.cards, base._plan, base.epsilon
+        self._blocks = _blocks(_theta_shapes(base))
+
+    def _tables(self, m: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
+        ia = intervened_array(m, self._t_vars)
+        return observational_joint(m).array, ia.sum(axis=self._drop) if self._drop else ia
+
+    def _gaps(self, obs: np.ndarray, causal: np.ndarray) -> tuple[float, float]:
+        return (float(np.max(np.abs(self._base[0] - obs))),
+                float(np.max(np.abs(self._base[1] - causal))))
+
+    def of_model(self, m: DiscreteModel) -> tuple[float, float]:
+        return self._gaps(*self._tables(m))
+
+    def of_theta(self, theta: np.ndarray) -> tuple[float, float]:
+        cpts = _cpts_from_theta(self._cards, self._blocks, theta, self._epsilon)
+        obs = _factor_product(self._cards, self._plan, cpts, sum_axes=self._latent)
+        ia = _factor_product(self._cards, self._plan, cpts, self._skip, self._latent)
+        return self._gaps(obs, ia.sum(axis=self._drop) if self._drop else ia)
 
 
 def witness_search(
@@ -430,28 +489,16 @@ def witness_search(
     the observational gap.  ``budget`` caps total objective evaluations;
     ``None`` means the budget ran out without a qualifying pair, which for
     identifiable effects is the expected outcome.
+
+    Each restart computes the base model's tables once and scores
+    candidates on raw conditional tables (:class:`_WitnessGaps`); the
+    reported model and gaps come from a validated :class:`DiscreteModel`.
     """
     from scipy.optimize import minimize
 
     t_vars, s_vars = frozenset(t), frozenset(s)
     if budget <= 0:
         return None
-
-    def gaps(ma: DiscreteModel, mb: DiscreteModel) -> tuple[float, float]:
-        pa = observational_joint(ma).array
-        pb = observational_joint(mb).array
-        obs_gap = float(np.max(np.abs(pa - pb)))
-        keep = t_vars | s_vars
-        drop_axes = tuple(
-            ax for ax, n in enumerate(g.observable_names) if n not in keep
-        )
-        ia = intervened_array(ma, t_vars)
-        ib = intervened_array(mb, t_vars)
-        if drop_axes:
-            ia = ia.sum(axis=drop_axes)
-            ib = ib.sum(axis=drop_axes)
-        causal_gap = float(np.max(np.abs(ia - ib)))
-        return obs_gap, causal_gap
 
     evaluations = 0
     restarts = max(1, budget // 4000)
@@ -461,6 +508,7 @@ def witness_search(
         if evaluations >= budget:
             break
         m1 = random_model(g, arity=arity, seed=seed + 1000 * r, epsilon=epsilon)
+        gaps = _WitnessGaps(m1, t_vars, s_vars)
         shapes = _theta_shapes(m1)
         theta0 = _theta_of(m1)
         rng = np.random.default_rng(seed + 1000 * r + 17)
@@ -470,8 +518,7 @@ def witness_search(
 
         def objective(theta: np.ndarray) -> float:
             counter["n"] += 1
-            m2 = _model_from_theta(g, m1.cards, shapes, theta, epsilon)
-            obs_gap, causal_gap = gaps(m1, m2)
+            obs_gap, causal_gap = gaps.of_theta(theta)
             return 1e4 * max(obs_gap - 0.25 * obs_tol, 0.0) - causal_gap
 
         maxfev = min(per_restart, budget - evaluations)
@@ -483,7 +530,7 @@ def witness_search(
         )
         evaluations += counter["n"]
         m2 = _model_from_theta(g, m1.cards, shapes, result.x, epsilon)
-        obs_gap, causal_gap = gaps(m1, m2)
+        obs_gap, causal_gap = gaps.of_model(m2)
         if obs_gap <= obs_tol and causal_gap >= causal_gap_min:
             return WitnessReport(
                 model_a=m1,

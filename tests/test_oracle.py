@@ -9,9 +9,15 @@ from causalid.expr import JointMarginal, Product, Quotient, Sum
 from causalid.graph import CausalGraph
 from causalid.oracle import (
     DiscreteModel,
+    _model_from_theta,
+    _theta_of,
+    _theta_shapes,
+    _WitnessGaps,
     check_estimand,
     ci_check,
     full_joint,
+    full_joint_array,
+    intervened_array,
     interventional_truth,
     observational_joint,
     random_model,
@@ -44,6 +50,27 @@ class TestRandomModel:
         assert observational_joint(m).array.min() > 0
 
 
+class TestValidation:
+    """Row sums are checked like ``np.allclose(rows, 1.0, atol=1e-12)``:
+    within 1e-12 + 1e-5 of one."""
+
+    @staticmethod
+    def model(row):
+        g = CausalGraph.build(observed=["A"])
+        return DiscreteModel(graph=g, cards=(2,), cpts=(np.array(row),))
+
+    def test_row_off_by_2e_5_rejected(self):
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            self.model([0.5, 0.5 + 2e-5])
+
+    def test_row_off_by_5e_6_accepted(self):
+        self.model([0.5, 0.5 + 5e-6])
+
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            self.model([0.5, np.nan])
+
+
 class TestObservationalJoint:
     def test_no_latents_is_cpt_product(self, g_chain):
         m = random_model(g_chain, seed=2)
@@ -72,6 +99,32 @@ class TestObservationalJoint:
         joint = observational_joint(m)
         p_equal = joint.array[0, 0] + joint.array[1, 1]
         assert p_equal == pytest.approx(0.82, abs=1e-12)
+
+
+def reference_joint(m):
+    """The full joint by name lookups: each table's axes (parents, then the
+    node) are argsorted into index order and broadcast over the grid."""
+    g = m.graph
+    n = len(g)
+    out = np.ones(m.cards)
+    for i, name in enumerate(g.names):
+        axes = [g.index(p) for p in g.parents_of(name)] + [i]
+        cpt = m.cpts[i].transpose(np.argsort(axes))
+        shape = [1] * n
+        for ax in axes:
+            shape[ax] = m.cards[ax]
+        out = out * cpt.reshape(shape)
+    return out
+
+
+class TestFullJoint:
+    def test_equals_reference_product(self):
+        rng = np.random.default_rng(50)
+        for trial in range(40):
+            g = random_dag(rng, n_obs=int(rng.integers(2, 5)), n_lat=int(rng.integers(0, 3)))
+            arity = {n: int(rng.integers(2, 4)) for n in g.names} if trial % 2 else 3
+            m = random_model(g, arity=arity, seed=trial)
+            assert np.array_equal(full_joint_array(m), reference_joint(m))
 
 
 class TestInterventionalTruth:
@@ -146,12 +199,6 @@ class TestCheckEstimand:
         report = check_estimand(e, g_frontdoor, ["X"], ["Y"], trials=20, seed=0)
         assert not report.all_passed
 
-    def test_threads_agree(self, g_backdoor):
-        e = Quotient(JointMarginal({"X", "Y"}), JointMarginal({"X"}))
-        r1 = check_estimand(e, g_backdoor, ["X"], ["Y"], trials=8, seed=3, threads=1)
-        r2 = check_estimand(e, g_backdoor, ["X"], ["Y"], trials=8, seed=3, threads=4)
-        assert r1.per_model == r2.per_model
-
 
 class TestWitnessSearch:
     def test_bow_witness_found(self, g_bow):
@@ -173,6 +220,46 @@ class TestWitnessSearch:
         if a is not None:
             assert a.observational_gap == b.observational_gap
             assert a.causal_gap == b.causal_gap
+
+
+class TestWitnessGaps:
+    def test_theta_gaps_equal_model_reference(self):
+        rng = np.random.default_rng(60)
+        for trial in range(50):
+            g = random_dag(rng, n_obs=int(rng.integers(2, 5)), n_lat=int(rng.integers(1, 3)))
+            obs = list(g.observable_names)
+            rng.shuffle(obs)
+            n_t = int(rng.integers(1, len(obs)))
+            t = frozenset(obs[:n_t])
+            s = frozenset(obs[n_t:n_t + int(rng.integers(1, len(obs) - n_t + 1))])
+            m1 = random_model(g, seed=trial)
+            theta0 = _theta_of(m1)
+            theta = theta0 + rng.normal(scale=0.5, size=theta0.shape)
+
+            m2 = _model_from_theta(g, m1.cards, _theta_shapes(m1), theta, m1.epsilon)
+            drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in t | s)
+
+            def causal(m):
+                ia = intervened_array(m, t)
+                return ia.sum(axis=drop) if drop else ia
+
+            expected = (
+                float(np.max(np.abs(observational_joint(m1).array
+                                    - observational_joint(m2).array))),
+                float(np.max(np.abs(causal(m1) - causal(m2)))),
+            )
+            assert _WitnessGaps(m1, t, s).of_theta(theta) == expected
+            assert expected[1] > 0.0
+
+    def test_found_report_gaps_match_its_models(self, g_bow):
+        rep = witness_search(g_bow, {"X"}, {"Y"}, budget=8000, seed=1)
+        assert rep is not None
+        pa = observational_joint(rep.model_a).array
+        pb = observational_joint(rep.model_b).array
+        ca = intervened_array(rep.model_a, frozenset({"X"}))
+        cb = intervened_array(rep.model_b, frozenset({"X"}))
+        assert rep.observational_gap == float(np.max(np.abs(pa - pb)))
+        assert rep.causal_gap == float(np.max(np.abs(ca - cb)))
 
 
 class TestCiCheck:
