@@ -29,7 +29,6 @@ from .expr import (
     Quotient,
     Sum,
     canonicalize,
-    evaluate,
     evaluate_grid,
     expr_from_json,
     expr_to_json,
@@ -87,7 +86,6 @@ __all__ = [
     "ProbExpr",
     "PositivityError",
     "free_vars",
-    "evaluate",
     "evaluate_grid",
     "canonicalize",
     "simplify",

@@ -41,9 +41,6 @@ class CComponentPartition:
     blocks: tuple[frozenset[str], ...]
     block_of: dict[str, int]
 
-    def block_containing(self, name: str) -> frozenset[str]:
-        return self.blocks[self.block_of[name]]
-
 
 def c_components(g: CausalGraph) -> CComponentPartition:
     """Partition the nodes of ``g`` into c-components.

@@ -65,6 +65,11 @@ def _emit(data: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def _names(g: CausalGraph, names) -> frozenset[str]:
     for n in names:
         g.index(n)  # raises GraphError with the offending name
@@ -127,6 +132,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _at_least("--models", args.models, 0)
     data = json.loads(Path(args.derivation).read_text())
     d = derivation_from_json(data)
     if d.query is None:
@@ -182,6 +188,7 @@ def _cmd_ccomp(args) -> int:
 
 
 def _cmd_oracle_verify(args) -> int:
+    _at_least("--trials", args.trials, 1)
     g = _load_graph(args.graph)
     t = _names(g, args.do)
     s = _names(g, args.on)
@@ -208,6 +215,7 @@ def _cmd_oracle_verify(args) -> int:
 
 
 def _cmd_oracle_witness(args) -> int:
+    _at_least("--budget", args.budget, 0)
     g = _load_graph(args.graph)
     t = _names(g, args.do)
     s = _names(g, args.on)
@@ -315,7 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:  # --help
+            raise
+        # argparse has printed the usage and the error; exit 2 means "not
+        # identifiable", so a usage error must not reach the caller as 2.
+        return EXIT_ERROR
     try:
         return args.func(args)
     except (GraphError, EnumerationLimitError, ValueError, OSError,

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ccomp import c_components, observable_blocks
 from .expr import (
     One,
     PositivityError,
@@ -40,6 +39,7 @@ from .ident import (
     IdentResult,
     IdentifyTrace,
     _causal_effect_traced,
+    _observable_components,
 )
 from .oracle import DoEvaluator, random_model
 from .sep import RuleEvidence, RuleInstance, evidence_from_json, rule_applicable
@@ -252,11 +252,6 @@ class _Writer:
 def _q_sentence(g: CausalGraph, scope: frozenset[str]) -> DoSentence:
     n = frozenset(g.observable_names)
     return DoSentence(outcome=scope, do=n - scope, given=frozenset())
-
-
-def _blocks_within(g: CausalGraph, scope: frozenset[str]) -> list[frozenset[str]]:
-    sub = g.latent_subgraph(scope)
-    return observable_blocks(c_components(sub), sub)
 
 
 def _rule(g: CausalGraph, rule: int, x, y, z, w) -> RuleEvidence:
@@ -490,7 +485,7 @@ def _emit_block_to_prefixes(
             q_rest,
             _rule(g, 3, x=n - block, y=b_rest, z={x}, w=()),
         )
-        sub_blocks = [b for b in _blocks_within(g, h) if b <= b_rest]
+        sub_blocks = [b for b in _observable_components(g, h) if b <= b_rest]
         assert frozenset().union(*sub_blocks) == b_rest
         if len(sub_blocks) == 1:
             _emit_block_to_prefixes(w, h, b_rest, second, found, prefix_plan)

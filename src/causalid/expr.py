@@ -3,7 +3,8 @@
 An estimand is built from marginals of the observational joint
 (:class:`JointMarginal`), sums over finite variable domains (:class:`Sum`),
 products, quotients, and the constant :class:`One`.  Expressions are kept at
-the variable level; evaluation binds an assignment of values.
+the variable level; evaluation yields an array over the grid of
+assignments of the free variables.
 
 Nested sums may rebind a variable that is free (or bound) further out; the
 semantics is lexical, with the innermost binding winning.  The pretty
@@ -16,7 +17,6 @@ leaf through its ``leaf_vars`` attribute.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -35,7 +35,6 @@ __all__ = [
     "ProbExpr",
     "PositivityError",
     "free_vars",
-    "evaluate",
     "evaluate_grid",
     "canonicalize",
     "simplify",
@@ -127,19 +126,6 @@ def free_vars(e) -> frozenset[str]:
     return e.leaf_vars
 
 
-def map_leaves(e, fn: Callable):
-    """Rebuild the tree with ``fn`` applied to every non-``One`` leaf."""
-    if isinstance(e, One):
-        return e
-    if isinstance(e, Sum):
-        return Sum(e.bound, map_leaves(e.body, fn))
-    if isinstance(e, Product):
-        return Product(map_leaves(f, fn) for f in e.factors)
-    if isinstance(e, Quotient):
-        return Quotient(map_leaves(e.num, fn), map_leaves(e.den, fn))
-    return fn(e)
-
-
 def iter_leaves(e):
     if isinstance(e, One):
         return
@@ -158,84 +144,32 @@ def iter_leaves(e):
 # -- evaluation ---------------------------------------------------------------
 
 
-def evaluate(e, joint: JointTable, assignment: Mapping[str, int]) -> float:
-    """Evaluate an estimand at one assignment of its free variables.
-
-    ``joint`` must be the full observational table; summation ranges come
-    from its variable domains.
-    """
-    missing = free_vars(e) - set(assignment)
-    if missing:
-        raise ValueError(f"assignment is missing variables {sorted(missing)}")
-    return _eval_scalar(e, joint, dict(assignment))
-
-
-def _eval_scalar(e, joint: JointTable, a: dict[str, int]) -> float:
-    if isinstance(e, One):
-        return 1.0
-    if isinstance(e, JointMarginal):
-        return joint.prob({v: a[v] for v in e.vars})
-    if isinstance(e, Sum):
-        bound = sorted(e.bound)
-        total = 0.0
-        for values in itertools.product(*(range(joint.card(v)) for v in bound)):
-            inner = dict(a)
-            inner.update(zip(bound, values))
-            total += _eval_scalar(e.body, joint, inner)
-        return total
-    if isinstance(e, Product):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval_scalar(f, joint, a)
-        return out
-    if isinstance(e, Quotient):
-        den = _eval_scalar(e.den, joint, a)
-        if den == 0.0:
-            raise PositivityError({v: a[v] for v in free_vars(e.den) if v in a})
-        return _eval_scalar(e.num, joint, a) / den
-    raise TypeError(f"cannot evaluate leaf {e!r} against an observational table")
-
-
 def evaluate_grid(e, joint: JointTable, free: Sequence[str]) -> np.ndarray:
     """Vectorized evaluation over the full grid of ``free`` assignments.
 
     Returns an array with one axis per entry of ``free`` (in that order).
-    Agrees with :func:`evaluate` pointwise; used by the oracle to keep
-    many-model sweeps fast.
+    ``joint`` must be the full observational table; summation ranges come
+    from its variable domains.
     """
+
+    def leaf(e, env, ndim):
+        if not isinstance(e, JointMarginal):
+            raise TypeError(f"cannot evaluate leaf {e!r} against an observational table")
+        return joint.placed(e.vars, env, ndim)
+
+    return _grid(e, joint, leaf, free)
+
+
+def _grid(e, joint: JointTable, leaf_fn: Callable, free: Sequence[str]) -> np.ndarray:
+    """Evaluate ``e`` over the grid of ``free``, whose domains come from
+    ``joint``; ``leaf_fn(leaf, env, ndim)`` returns each non-``One`` leaf
+    shaped to broadcast into the grid."""
     if not free_vars(e) <= set(free):
         raise ValueError("free must cover the expression's free variables")
     env = {v: i for i, v in enumerate(free)}
     shape = tuple(joint.card(v) for v in free)
-    leaf = _marginal_leaf_fn(joint)
-    out = _eval_nd(e, joint, leaf, env, len(shape))
+    out = _eval_nd(e, joint, leaf_fn, env, len(shape))
     return np.broadcast_to(out, shape).copy() if shape else np.asarray(out)
-
-
-def _marginal_leaf_fn(joint: JointTable):
-    def fn(e, env, ndim):
-        if not isinstance(e, JointMarginal):
-            raise TypeError(f"cannot evaluate leaf {e!r} against an observational table")
-        return placed_marginal(joint.marginal(e.vars), joint.marginal_names(e.vars), joint, env, ndim)
-
-    return fn
-
-
-def placed_marginal(
-    arr: np.ndarray,
-    order: Sequence[str],
-    joint: JointTable,
-    env: Mapping[str, int],
-    ndim: int,
-) -> np.ndarray:
-    """Reshape a marginal with axes ``order`` for broadcasting into an
-    evaluation grid whose axes are assigned by ``env``."""
-    positions = [env[v] for v in order]
-    arr = arr.transpose(np.argsort(positions))
-    shape = [1] * ndim
-    for v in order:
-        shape[env[v]] = joint.card(v)
-    return arr.reshape(shape)
 
 
 def _eval_nd(e, joint, leaf_fn, env: dict[str, int], ndim: int) -> np.ndarray:

@@ -262,9 +262,6 @@ class CausalGraph:
     def _to_names(self, idx: Iterable[int]) -> frozenset[str]:
         return frozenset(self._names[i] for i in idx)
 
-    def _observable_idx(self) -> frozenset[int]:
-        return frozenset(i for i, o in enumerate(self._obs) if o)
-
     # -- reachability ----------------------------------------------------------
 
     def _closure(self, seeds: frozenset[int], step: Sequence[tuple[int, ...]]) -> set[int]:

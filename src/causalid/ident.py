@@ -136,8 +136,7 @@ def factorize_components(
     h = frozenset(h)
     if q_h.scope != h:
         raise GraphError("factor scope does not match h")
-    gh = g.latent_subgraph(h)
-    blocks = observable_blocks(c_components(gh), gh)
+    blocks = _observable_components(g, h)
     order = g.topo_order(h)
 
     prefix: list[ProbExpr] = [One()]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import PositivityError, evaluate_grid, free_vars, placed_marginal
+from .expr import JointMarginal, PositivityError, _grid, evaluate_grid, free_vars
 from .graph import CausalGraph, GraphError
 from .sep import SeparationQuery
 from .tables import MAX_STATES, EnumerationLimitError, JointTable
@@ -110,9 +110,8 @@ def random_model(
 
     rng = np.random.default_rng(seed)
     cpts = []
-    for i, name in enumerate(g.names):
-        pa = [g.index(p) for p in g.parents_of(name)]
-        shape = tuple(cards[j] for j in pa) + (cards[i],)
+    for i in range(len(g)):
+        shape = tuple(cards[j] for j in g._parents[i]) + (cards[i],)
         raw = rng.random(shape) + 1e-12
         probs = raw / raw.sum(axis=-1, keepdims=True)
         probs = (1.0 - cards[i] * epsilon) * probs + epsilon
@@ -227,38 +226,23 @@ class DoEvaluator:
 
     def _leaf(self, e, env, ndim):
         from .docalc import DoSentence
-        from .expr import JointMarginal
 
         if isinstance(e, JointMarginal):
-            tab = self._do_table(frozenset())
-            return placed_marginal(tab.marginal(e.vars), tab.marginal_names(e.vars),
-                                   tab, env, ndim)
+            return self._do_table(frozenset()).placed(e.vars, env, ndim)
         if not isinstance(e, DoSentence):
             raise TypeError(f"cannot evaluate leaf {e!r} on a discrete model")
         tab = self._do_table(e.do)
-        num_vars = e.outcome | e.given | e.do
-        num = placed_marginal(tab.marginal(num_vars), tab.marginal_names(num_vars),
-                              tab, env, ndim)
+        num = tab.placed(e.outcome | e.given | e.do, env, ndim)
         if not (e.given | e.do):
             return num
-        den_vars = e.given | e.do
-        den = placed_marginal(tab.marginal(den_vars), tab.marginal_names(den_vars),
-                              tab, env, ndim)
+        den = tab.placed(e.given | e.do, env, ndim)
         if np.any(den == 0.0):
             raise PositivityError()
         return num / den
 
     def grid(self, e, free: Sequence[str]) -> np.ndarray:
         """Array of the expression's value over the grid of ``free``."""
-        if not free_vars(e) <= set(free):
-            raise ValueError("free must cover the expression's free variables")
-        from .expr import _eval_nd
-
-        env = {v: i for i, v in enumerate(free)}
-        tab = self._do_table(frozenset())
-        shape = tuple(tab.card(v) for v in free)
-        out = _eval_nd(e, tab, self._leaf, env, len(shape))
-        return np.broadcast_to(out, shape).copy() if shape else np.asarray(out)
+        return _grid(e, self._do_table(frozenset()), self._leaf, free)
 
 
 # -- estimand checking ---------------------------------------------------------
@@ -344,10 +328,7 @@ def ci_check(m: DiscreteModel, q: SeparationQuery, tolerance: float = 1e-9) -> b
     ndim = len(order)
 
     def placed(vars_: frozenset[str]) -> np.ndarray:
-        if not vars_:
-            return np.ones((1,) * ndim)
-        return placed_marginal(tab.marginal(vars_), tab.marginal_names(vars_),
-                               tab, env, ndim)
+        return tab.placed(vars_, env, ndim) if vars_ else np.ones((1,) * ndim)
 
     p_xyz = placed(all_vars)
     p_xz = placed(q.x | q.z)

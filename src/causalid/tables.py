@@ -52,9 +52,6 @@ class JointTable:
     def card(self, name: str) -> int:
         return self.cards[self._pos[name]]
 
-    def axis(self, name: str) -> int:
-        return self._pos[name]
-
     def total(self) -> float:
         return float(self.array.sum())
 
@@ -70,20 +67,17 @@ class JointTable:
         self._marginals[key] = out
         return out
 
-    def marginal_names(self, names: Iterable[str]) -> tuple[str, ...]:
-        keep = sorted(self._pos[n] for n in frozenset(names))
-        return tuple(self.names[i] for i in keep)
-
-    def prob(self, assignment: Mapping[str, int]) -> float:
-        """Probability mass of a partial assignment (marginalizing the rest)."""
-        vars_ = frozenset(assignment)
-        marg = self.marginal(vars_)
-        idx = tuple(assignment[n] for n in self.marginal_names(vars_))
-        return float(marg[idx])
-
-    def restricted(self, names: Iterable[str]) -> "JointTable":
-        order = self.marginal_names(names)
-        return JointTable(order, self.marginal(order))
+    def placed(self, names: Iterable[str], env: Mapping[str, int], ndim: int) -> np.ndarray:
+        """The marginal over ``names`` shaped to broadcast into an
+        evaluation grid of ``ndim`` axes that puts variable ``v`` on axis
+        ``env[v]``."""
+        key = frozenset(names)
+        order = [self.names[i] for i in sorted(self._pos[n] for n in key)]
+        arr = self.marginal(key).transpose(np.argsort([env[v] for v in order]))
+        shape = [1] * ndim
+        for v in order:
+            shape[env[v]] = self.card(v)
+        return arr.reshape(shape)
 
     def __repr__(self) -> str:
         return f"JointTable(names={self.names}, cards={self.cards})"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from causalid.expr import evaluate_grid
 from causalid.graph import CausalGraph
 
 
@@ -56,3 +57,10 @@ def random_dag(rng: np.random.Generator, n_obs: int, n_lat: int, p_edge: float =
             if rng.random() < p_edge:
                 edges.append((names[order[a]], names[order[b]]))
     return CausalGraph(list(zip(names, observable)), edges)
+
+
+def grid_value(e, joint, a):
+    """The entry of :func:`evaluate_grid` at assignment ``a``, on the grid of
+    the variables ``a`` assigns."""
+    free = sorted(a)
+    return float(evaluate_grid(e, joint, free)[tuple(a[v] for v in free)])

@@ -1,10 +1,16 @@
 """End-to-end CLI behaviour: subcommands, exit codes, and determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
 from causalid.cli import main
+
+from conftest import random_dag
 
 BOW = """\
 node X obs
@@ -106,6 +112,51 @@ class TestDeriveAndCheck:
 
     def test_derive_bow_exit_two(self, graphs):
         assert main(["derive", "--graph", graphs["bow"], "--do", "X", "--on", "Y"]) == 2
+
+
+class TestUsageErrors:
+    """Exit 2 means "not identifiable", so invalid usage must exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["identify", "--graph", "FD", "--on", "Y"],
+        ["derive", "--graph", "FD", "--do", "X"],
+        ["identify", "--graph", "FD", "--do", "X", "--on", "Y", "--frobnicate"],
+        ["oracle", "verify", "--graph", "FD", "--do", "X", "--on", "Y", "--trials", "many"],
+        [],
+    ], ids=["missing --do", "missing --on", "unknown flag", "non-integer", "no command"])
+    def test_argparse_error_exit_one(self, graphs, capsys, argv):
+        assert main([graphs["fd"] if a == "FD" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error: " in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_verify_needs_a_trial(self, graphs, capsys, trials):
+        code = main(["oracle", "verify", "--graph", graphs["fd"], "--do", "X", "--on", "Y",
+                     "--trials", trials])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
+    def test_negative_models_rejected(self, graphs, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        main(["derive", "--graph", graphs["bd"], "--do", "X", "--on", "Y", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["check", "--derivation", str(out), "--models", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --models must be at least 0, got -1\n"
+        assert main(["check", "--derivation", str(out), "--models", "0"]) == 0
+
+    def test_negative_budget_rejected(self, graphs, capsys):
+        code = main(["oracle", "witness", "--graph", graphs["bd"], "--do", "X", "--on", "Y",
+                     "--budget", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --budget must be at least 0, got -1\n"
 
 
 class TestDsep:
@@ -353,3 +404,62 @@ class TestNestedRejection:
         code, out, _ = check_file(fd_derivation, tmp_path, capsys)
         assert code == 3
         assert "nested derivation has no steps" in out
+
+
+def graph_text(g) -> str:
+    lines = [f"node {n} {'obs' if g.is_observable(n) else 'lat'}" for n in g.names]
+    lines += [f"edge {p} {c}" for p, c in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def golden_queries():
+    """(graph text, treatment, outcome): the front-door and bow graphs, then
+    30 seeded random graphs with latents, 7 of them not identifiable."""
+    yield FRONTDOOR, ["X"], ["Y"]
+    yield BOW, ["X"], ["Y"]
+    rng = np.random.default_rng(5)
+    for i in range(30):
+        g = random_dag(rng, n_obs=3 + i % 3, n_lat=1 + i % 4, p_edge=0.5)
+        picks = [str(v) for v in rng.permutation(g.observable_names)]
+        yield graph_text(g), picks[:1 + i % 2], picks[2:]
+
+
+def golden_digest(tmp_path) -> str:
+    """sha256 over the exit code and stdout of `identify --json`,
+    `derive --json --out` and `check --json` on each golden query, and the
+    bytes of each derivation file."""
+    digest = hashlib.sha256()
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+        return code
+
+    for k, (text, do, on) in enumerate(golden_queries()):
+        graph = tmp_path / f"g{k}.cg"
+        graph.write_text(text)
+        query = ["--graph", str(graph), "--do", *do, "--on", *on, "--json"]
+        run(["identify", *query])
+        out = tmp_path / f"d{k}.json"
+        if run(["derive", *query, "--out", str(out)]) == 0:
+            digest.update(out.read_bytes())
+            run(["check", "--derivation", str(out), "--json"])
+    return digest.hexdigest()
+
+
+class TestGoldenOutput:
+    """CLI output is byte-identical to the output recorded in GOLDEN.
+
+    The hash covers float-free outputs only, so it does not depend on the
+    numpy build.  A change that alters output on purpose re-records it: run
+    this test, copy the digest from its failure message into GOLDEN, and
+    say in the change what output changed and why.
+    """
+
+    GOLDEN = "55b1dca4b76b4844c31bcb693230a962539e5b0067920b0edb21b7a713a87ab6"
+
+    def test_outputs_match_recorded_hash(self, tmp_path):
+        digest = golden_digest(tmp_path)
+        assert digest == self.GOLDEN, digest

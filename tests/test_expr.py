@@ -13,7 +13,6 @@ from causalid.expr import (
     Quotient,
     Sum,
     canonicalize,
-    evaluate,
     evaluate_grid,
     expr_from_json,
     expr_to_json,
@@ -21,10 +20,10 @@ from causalid.expr import (
     pretty,
     simplify,
 )
-from causalid.oracle import observational_joint, random_model
+from causalid.oracle import DoEvaluator, observational_joint, random_model
 from causalid.tables import JointTable
 
-from conftest import random_dag
+from conftest import grid_value, random_dag
 
 
 def uniform_joint(names, card=2):
@@ -104,11 +103,11 @@ class TestFreeVars:
 class TestEvaluate:
     def test_one(self):
         joint = uniform_joint(["X", "Y"])
-        assert evaluate(One(), joint, {}) == 1.0
+        assert grid_value(One(), joint, {}) == 1.0
 
     def test_uniform_marginal(self):
         joint = uniform_joint(["X", "Y"])
-        assert evaluate(JointMarginal({"X"}), joint, {"X": 0}) == pytest.approx(0.5)
+        assert grid_value(JointMarginal({"X"}), joint, {"X": 0}) == pytest.approx(0.5)
 
     def test_conditional_normalizes(self, g_chain):
         # Sum_y P(x,z,y)/P(x,z) == 1 for positive joints
@@ -117,19 +116,27 @@ class TestEvaluate:
         e = Sum({"Y"}, Quotient(JointMarginal({"X", "Z", "Y"}), JointMarginal({"X", "Z"})))
         for x in range(2):
             for z in range(2):
-                assert evaluate(e, joint, {"X": x, "Z": z}) == pytest.approx(1.0, abs=1e-12)
+                assert grid_value(e, joint, {"X": x, "Z": z}) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_assignment_rejected(self):
         joint = uniform_joint(["X"])
         with pytest.raises(ValueError):
-            evaluate(JointMarginal({"X"}), joint, {})
+            grid_value(JointMarginal({"X"}), joint, {})
 
     def test_zero_denominator_raises(self):
         arr = np.array([[0.5, 0.5], [0.0, 0.0]])  # P(X=1) = 0
         joint = JointTable(["X", "Y"], arr)
         e = Quotient(JointMarginal({"X", "Y"}), JointMarginal({"X"}))
         with pytest.raises(PositivityError):
-            evaluate(e, joint, {"X": 1, "Y": 0})
+            grid_value(e, joint, {"X": 1, "Y": 0})
+
+    def test_zero_denominator_names_its_assignment(self):
+        arr = np.array([[0.5, 0.5], [0.0, 0.0]])  # P(X=1) = 0
+        joint = JointTable(["X", "Y"], arr)
+        e = Quotient(JointMarginal({"X", "Y"}), JointMarginal({"X"}))
+        with pytest.raises(PositivityError) as err:
+            evaluate_grid(e, joint, ["X", "Y"])
+        assert err.value.assignment == {"X": 1}
 
     def test_matches_brute_force_reference(self):
         rng = np.random.default_rng(42)
@@ -141,27 +148,27 @@ class TestEvaluate:
             free = sorted(free_vars(e))
             for values in itertools.product(*(range(joint.card(v)) for v in free)):
                 a = dict(zip(free, values))
-                assert evaluate(e, joint, a) == pytest.approx(
+                assert grid_value(e, joint, a) == pytest.approx(
                     brute_force_eval(e, joint, a), abs=1e-12
                 )
 
-    def test_grid_matches_scalar(self):
-        rng = np.random.default_rng(7)
+    def test_do_evaluator_matches_observational_grid(self):
+        # Marginal-only expressions reach DoEvaluator's JointMarginal leaf,
+        # which must place them exactly as evaluate_grid does.
+        rng = np.random.default_rng(11)
         for trial in range(25):
             g = random_dag(rng, n_obs=3, n_lat=1)
-            joint = observational_joint(random_model(g, seed=trial))
-            e = random_expr(rng, list(joint.names))
+            m = random_model(g, seed=trial)
+            e = random_expr(rng, list(g.observable_names))
             free = sorted(free_vars(e))
-            grid = evaluate_grid(e, joint, free)
-            for values in itertools.product(*(range(joint.card(v)) for v in free)):
-                a = dict(zip(free, values))
-                assert grid[values] == pytest.approx(evaluate(e, joint, a), abs=1e-12)
+            got = DoEvaluator(m).grid(e, free)
+            assert np.array_equal(got, evaluate_grid(e, observational_joint(m), free))
 
     def test_shadowed_sum_uses_inner_binding(self):
         # P(X) * Sum_x P(x) evaluates to P(X) * 1
         joint = uniform_joint(["X"])
         e = Product([JointMarginal({"X"}), Sum({"X"}, JointMarginal({"X"}))])
-        assert evaluate(e, joint, {"X": 1}) == pytest.approx(0.5)
+        assert grid_value(e, joint, {"X": 1}) == pytest.approx(0.5)
 
 
 class TestCanonicalize:
@@ -204,9 +211,9 @@ class TestCanonicalize:
             assert free_vars(ce) <= free_vars(e)
             for values in itertools.product(*(range(joint.card(v)) for v in free)):
                 a = dict(zip(free, values))
-                v = evaluate(e, joint, a)
-                assert evaluate(ce, joint, a) == pytest.approx(v, abs=1e-12)
-                assert evaluate(se, joint, a) == pytest.approx(v, abs=1e-12)
+                v = grid_value(e, joint, a)
+                assert grid_value(ce, joint, a) == pytest.approx(v, abs=1e-12)
+                assert grid_value(se, joint, a) == pytest.approx(v, abs=1e-12)
 
 
 class TestSimplify:

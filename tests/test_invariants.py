@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from causalid.docalc import Derivation, DoSentence, derive_effect, verify_derivation
-from causalid.expr import JointMarginal, One, evaluate, free_vars, iter_leaves
+from causalid.expr import JointMarginal, One, free_vars, iter_leaves
 from causalid.ident import causal_effect
 from causalid.oracle import (
     DoEvaluator,
@@ -16,7 +16,7 @@ from causalid.oracle import (
     random_model,
 )
 
-from conftest import random_dag
+from conftest import grid_value, random_dag
 
 
 def brute_force_interventional(m, t, s_vars):
@@ -129,7 +129,7 @@ class TestEstimandPurity:
                 for sv in itertools.product(range(2), repeat=len(s)):
                     a = {list(t)[0]: tv}
                     a.update(dict(zip(sorted(s), sv)))
-                    total += evaluate(res.estimand, joint, a)
+                    total += grid_value(res.estimand, joint, a)
                 assert total == pytest.approx(1.0, abs=1e-9)
         assert checked >= 10
 

@@ -140,7 +140,7 @@ class TestInterventionalTruth:
         for x in range(2):
             truth = interventional_truth(m, {"X": x}, ["Z"])
             for z in range(2):
-                expected = joint.prob({"X": x, "Z": z}) / joint.prob({"X": x})
+                expected = joint.marginal({"X", "Z"})[x, z] / joint.marginal({"X"})[x]
                 assert truth.array[z] == pytest.approx(expected, abs=1e-12)
 
     def test_sums_to_one(self):
