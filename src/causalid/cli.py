@@ -8,7 +8,7 @@ Subcommands::
     dsep            test d-separation
     ccomp           print the confounded-component partition
     oracle verify   check an identified estimand against random models
-    oracle witness  search for a non-identifiability witness pair
+    oracle witness  construct and check a non-identifiability witness pair
     export-dot      write the graph in GraphViz DOT format
 
 Exit codes: 0 success (and identifiable), 2 not identifiable, 3 derivation
@@ -76,6 +76,12 @@ def _names(g: CausalGraph, names) -> frozenset[str]:
     return frozenset(names)
 
 
+def _pair_json(g: CausalGraph, pair) -> dict:
+    """A failing (c, t) pair of the identification procedure as sorted names."""
+    c, t = pair
+    return {"c": list(g.sorted_nodes(c)), "t": list(g.sorted_nodes(t))}
+
+
 def _cmd_identify(args) -> int:
     g = _load_graph(args.graph)
     t = _names(g, args.do)
@@ -89,16 +95,9 @@ def _cmd_identify(args) -> int:
             f"identifiable\n  P_t(s) = {text}",
         )
         return EXIT_OK
-    c, tt = res.witness
-    _emit(
-        {
-            "identifiable": False,
-            "witness": {"c": list(g.sorted_nodes(c)), "t": list(g.sorted_nodes(tt))},
-        },
-        args.json,
-        f"not identifiable (failing pair: c={list(g.sorted_nodes(c))}, "
-        f"t={list(g.sorted_nodes(tt))})",
-    )
+    pair = _pair_json(g, res.witness)
+    _emit({"identifiable": False, "witness": pair}, args.json,
+          f"not identifiable (failing pair: c={pair['c']}, t={pair['t']})")
     return EXIT_NOT_IDENTIFIABLE
 
 
@@ -108,15 +107,8 @@ def _cmd_derive(args) -> int:
     s = _names(g, args.on)
     d = derive_effect(t, s, g)
     if not isinstance(d, Derivation):
-        c, tt = d.witness
-        _emit(
-            {
-                "identifiable": False,
-                "witness": {"c": list(g.sorted_nodes(c)), "t": list(g.sorted_nodes(tt))},
-            },
-            args.json,
-            "not identifiable",
-        )
+        _emit({"identifiable": False, "witness": _pair_json(g, d.witness)}, args.json,
+              "not identifiable")
         return EXIT_NOT_IDENTIFIABLE
     data = derivation_to_json(d)
     if args.out:
@@ -219,20 +211,14 @@ def _cmd_oracle_witness(args) -> int:
     g = _load_graph(args.graph)
     t = _names(g, args.do)
     s = _names(g, args.on)
-    rep = witness_search(g, t, s, budget=args.budget, seed=args.seed)
+    rep = witness_search(g, t, s)
     if rep is None:
-        _emit(
-            {"found": False, "budget": args.budget},
-            args.json,
-            "no witness found within budget",
-        )
+        _emit({"found": False}, args.json, "no witness found")
         return EXIT_OK
-    _emit(
-        rep.to_json(),
-        args.json,
-        f"witness found: observational gap {rep.observational_gap:.3e}, "
-        f"causal gap {rep.causal_gap:.3e}",
-    )
+    pair = _pair_json(g, rep.pair)
+    _emit(rep.to_json(), args.json,
+          f"witness found for c={pair['c']}, t={pair['t']}: observational gap "
+          f"{rep.observational_gap:.3e}, causal gap {rep.causal_gap:.3e}")
     return EXIT_OK
 
 
@@ -306,11 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--tolerance", type=float, default=1e-9)
     p2.set_defaults(func=_cmd_oracle_verify)
 
-    p2 = osub.add_parser("witness", help="search for a non-identifiability witness")
+    p2 = osub.add_parser("witness",
+                         help="construct and check a non-identifiability witness")
     add_graph(p2); add_query(p2); add_json(p2)
     p2.add_argument("--budget", type=int, default=40000,
-                    help="total objective evaluations")
-    p2.add_argument("--seed", type=int, default=0)
+                    help="no effect; the witness is constructed, not searched for")
+    p2.add_argument("--seed", type=int, default=0, help="no effect")
     p2.set_defaults(func=_cmd_oracle_witness)
 
     p = sub.add_parser("export-dot", help="write GraphViz DOT (latents dashed)")

@@ -246,9 +246,6 @@ class CausalGraph:
     def parents_of(self, name: str) -> tuple[str, ...]:
         return tuple(self._names[i] for i in self._parents[self.index(name)])
 
-    def children_of(self, name: str) -> tuple[str, ...]:
-        return tuple(self._names[i] for i in self._children[self.index(name)])
-
     def sorted_nodes(self, names: Names) -> tuple[str, ...]:
         """Canonical (index) order of a node-name collection."""
         idx = self._resolve(names)
@@ -327,27 +324,21 @@ class CausalGraph:
         keep = set(self._resolve(c)) | {self.index(n) for n in self.dup(c)}
         return self._subgraph(keep)
 
+    def _keep_edges(self, keep) -> "CausalGraph":
+        """The graph with the edges ``(p, c)`` (indices) that ``keep`` accepts."""
+        nodes = list(zip(self._names, self._obs))
+        edges = [(self._names[p], self._names[c]) for p, c in sorted(self._edges) if keep(p, c)]
+        return CausalGraph(nodes, edges)
+
     def cut_incoming(self, x: Names) -> "CausalGraph":
         """Delete every edge pointing into a node of ``x``; nodes unchanged."""
         xidx = self._resolve(x)
-        nodes = list(zip(self._names, self._obs))
-        edges = [
-            (self._names[p], self._names[c])
-            for p, c in sorted(self._edges)
-            if c not in xidx
-        ]
-        return CausalGraph(nodes, edges)
+        return self._keep_edges(lambda p, c: c not in xidx)
 
     def cut_outgoing(self, x: Names) -> "CausalGraph":
         """Delete every edge leaving a node of ``x``; nodes unchanged."""
         xidx = self._resolve(x)
-        nodes = list(zip(self._names, self._obs))
-        edges = [
-            (self._names[p], self._names[c])
-            for p, c in sorted(self._edges)
-            if p not in xidx
-        ]
-        return CausalGraph(nodes, edges)
+        return self._keep_edges(lambda p, c: p not in xidx)
 
     def remove_barren_latents(self) -> "CausalGraph":
         """Drop every latent node without an observable descendant.

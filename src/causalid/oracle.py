@@ -4,7 +4,7 @@ Everything here is exact enumeration: the observational joint is the
 mixture-of-products over the latent domains, interventional distributions
 come from the truncated factorization, and interventional sentences
 P(y | do(t), w) are evaluated as ratios of truncated-factorization
-marginals.  Estimand checking and the non-identifiability witness search
+marginals.  Estimand checking and the non-identifiability certificates
 are built on top of these primitives.
 """
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .expr import JointMarginal, PositivityError, _grid, evaluate_grid, free_vars
 from .graph import CausalGraph, GraphError
+from .ident import causal_effect
 from .sep import SeparationQuery
 from .tables import MAX_STATES, EnumerationLimitError, JointTable
 
@@ -290,6 +291,8 @@ def check_estimand(
     evaluated on its observational joint over every (t, s) assignment, and
     the result is compared entrywise against the truncated factorization.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     t_vars, s_vars = frozenset(t), frozenset(s)
     if t_vars & s_vars:
         raise GraphError("t and s must be disjoint")
@@ -334,28 +337,29 @@ def ci_check(m: DiscreteModel, q: SeparationQuery, tolerance: float = 1e-9) -> b
     p_xz = placed(q.x | q.z)
     p_yz = placed(q.y | q.z)
     p_z = placed(q.z)
-    mask = np.broadcast_to(p_z > 0, p_xyz.shape)
-    lhs = np.where(mask, p_xyz / np.where(p_z > 0, p_z, 1.0), 0.0)
-    rhs = np.where(
-        mask,
-        (p_xz / np.where(p_z > 0, p_z, 1.0)) * (p_yz / np.where(p_z > 0, p_z, 1.0)),
-        0.0,
-    )
+    positive = p_z > 0
+    p_z_safe = np.where(positive, p_z, 1.0)
+    lhs = np.where(positive, p_xyz / p_z_safe, 0.0)
+    rhs = np.where(positive, (p_xz / p_z_safe) * (p_yz / p_z_safe), 0.0)
     return bool(np.max(np.abs(lhs - rhs)) <= tolerance)
 
 
-# -- witness search ------------------------------------------------------------
+# -- non-identifiability certificates -----------------------------------------
+
+WITNESS_NOISE = 0.02  # bit-flip probability of the observables of a parity model
 
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Two positive models agreeing observationally but not causally."""
+    """Two positive models agreeing on P(v) but not on P_t(s), built on the
+    failing (c, t) pair ``pair`` of :func:`causal_effect`."""
 
     model_a: DiscreteModel
     model_b: DiscreteModel
     observational_gap: float
     causal_gap: float
     evaluations: int
+    pair: tuple[frozenset[str], frozenset[str]]
 
     def to_json(self) -> dict:
         return {
@@ -366,158 +370,176 @@ class WitnessReport:
         }
 
 
-def _theta_shapes(m: DiscreteModel) -> list[tuple[int, ...]]:
-    return [cpt.shape for cpt in m.cpts]
+def _latent_paths(g: CausalGraph, i: int) -> dict[int, list[int]]:
+    """Shortest directed paths from node ``i`` whose internal nodes are
+    latent, by end node."""
+    paths: dict[int, list[int]] = {}
+    queue = [i]
+    for v in queue:
+        if v == i or not g._obs[v]:
+            for child in g._children[v]:
+                if child not in paths:
+                    paths[child] = paths.get(v, [i]) + [child]
+                    queue.append(child)
+    return paths
 
 
-def _blocks(shapes) -> list[tuple[int, int, tuple[int, ...]]]:
-    """``(start, stop, shape)`` of each node's block of the parameter vector."""
-    out = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append((pos, pos + size, shape))
-        pos += size
-    return out
+def _spanning_tree(g: CausalGraph, paths, c: frozenset[int], t: frozenset[int]):
+    """Bidirected spanning tree over ``t`` that spans ``c`` first: an edge
+    ``(a, b, u)`` joins ``a`` and ``b`` through the latent ``u`` with the
+    shortest latent-only paths to both.  None if ``c`` or ``t`` is not
+    connected so."""
+    latents = [u for u in range(len(g)) if not g._obs[u]]
+    tree, seen = [], {min(c)}
+    for members in (c, t):
+        queue = sorted(seen)
+        for a in queue:
+            for b in sorted(members - seen):
+                shared = [u for u in latents if a in paths[u] and b in paths[u]]
+                if shared:
+                    u = min(shared, key=lambda u: (len(paths[u][a]) + len(paths[u][b]), u))
+                    seen.add(b)
+                    tree.append((a, b, u))
+                    queue.append(b)
+        if seen != members:
+            return None
+    return tree
 
 
-def _cpts_from_theta(
-    cards: tuple[int, ...], blocks, theta: np.ndarray, epsilon: float
-) -> list[np.ndarray]:
-    """Conditional tables of a parameter vector: a softmax over each row of
-    each block, mixed with the uniform distribution to the ``epsilon``
-    floor."""
+def _forest(paths, c: frozenset[int], t: frozenset[int]) -> dict[int, int] | None:
+    """Each node's pick of a child reached along latent-only paths: a ``c``
+    node picks one in ``c`` if it has one, every other node of ``t`` one in
+    ``t`` a breadth-first step closer to ``c`` (None if there is none)."""
+    pick = {v: min(paths[v].keys() & c) for v in c if paths[v].keys() & c}
+    done, layer = set(c), set(c)
+    while layer:
+        closer = {v: min(paths[v].keys() & layer)
+                  for v in t - done if paths[v].keys() & layer}
+        pick.update(closer)
+        done |= closer.keys()
+        layer = closer.keys()
+    return pick if done == t else None
+
+
+def _parity_model(g: CausalGraph, carries: list[dict], ins: list[dict],
+                  flip: list[float]) -> DiscreteModel:
+    """Latent ``i`` packs the bits ``carries[i]`` (key -> the parent it
+    copies, None for a fresh uniform bit) into a value of card 2^k;
+    observable ``i`` is the parity of its in-bits ``ins[i]`` (key ->
+    parent), flipped with probability ``flip[i]``.  Bit j of a value has
+    weight 2^j."""
+    cards = tuple(2 if g._obs[i] else 2 ** len(carries[i]) for i in range(len(g)))
     cpts = []
-    for i, (start, stop, shape) in enumerate(blocks):
-        block = theta[start:stop].reshape(shape)
-        block = block - block.max(axis=-1, keepdims=True)
-        p = np.exp(block)
-        p /= p.sum(axis=-1, keepdims=True)
-        p = (1.0 - cards[i] * epsilon) * p + epsilon
-        cpts.append(p)
-    return cpts
+    for i, parents in enumerate(g._parents):
+        grid = np.indices(tuple(cards[p] for p in parents), dtype=int)
+        if g._obs[i]:
+            bits = [(ins[i].items(), flip[i])]
+        else:
+            bits = [(() if p is None else [(key, p)], 0.5 if p is None else 0.0)
+                    for key, p in carries[i].items()]
+        table = np.ones(grid.shape[1:] + (1,))
+        for sources, f in bits:
+            parity = np.zeros(grid.shape[1:], dtype=int)
+            for key, p in sources:
+                pos = 0 if g._obs[p] else list(carries[p]).index(key)
+                parity ^= (grid[parents.index(p)] >> pos) & 1
+            one = np.where(parity == 1, 1.0 - f, f)
+            table = np.stack([1.0 - one, one], axis=-1)[..., None] * table[..., None, :]
+            table = table.reshape(grid.shape[1:] + (-1,))
+        cpts.append(table)
+    return DiscreteModel(graph=g, cards=cards, cpts=tuple(cpts))
 
 
-def _model_from_theta(
-    g: CausalGraph, cards: tuple[int, ...], shapes, theta: np.ndarray,
-    epsilon: float,
-) -> DiscreteModel:
-    cpts = _cpts_from_theta(cards, _blocks(shapes), theta, epsilon)
-    return DiscreteModel(graph=g, cards=cards, cpts=tuple(cpts), epsilon=epsilon)
+def _parity_pair(g: CausalGraph, c_names: frozenset[str], t_names: frozenset[str],
+                 t_vars: frozenset[str], s_vars: frozenset[str]):
+    """The hedge parity models of the failing pair (c, t), lifted to s.
 
-
-def _theta_of(m: DiscreteModel) -> np.ndarray:
-    return np.concatenate([np.log(cpt).ravel() for cpt in m.cpts])
-
-
-class _WitnessGaps:
-    """Observational and causal gaps between a fixed base model and
-    candidates on its graph.
-
-    The causal gap compares P_t over s ∪ t.  The base model's tables are
-    computed once.  A candidate given as a parameter vector is scored on its
-    raw conditional tables through the same factor products that
-    :func:`observational_joint` and :func:`intervened_array` run on the
-    model :func:`_model_from_theta` would build, so both routes give the
-    same floats.
+    In model A each tree edge's latent draws a fresh uniform bit for both
+    ends, each node of t XORs its tree bits with the values of the nodes
+    that pick it, and each forest root (a ``c`` node without a pick) sends
+    its value along a shortest directed path into s that avoids the do-set
+    and t; a path may end at a ``c`` node of s.  Every observable XORs its
+    in-bits and flips with probability ``WITNESS_NOISE``.  Model B differs
+    at the ``c`` nodes: they drop the bits from outside ``c`` and flip with
+    the noise of the t nodes whose forest path enters ``c`` there.  Both
+    give the same P(v), but under do(t_vars) the parity of the roots is
+    uniform in model A only.  None if a piece cannot be built.
     """
-
-    def __init__(self, base: DiscreteModel, t_vars: frozenset[str], s_vars: frozenset[str]):
-        g = base.graph
-        keep = t_vars | s_vars
-        self._t_vars = t_vars
-        self._drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in keep)
-        self._base = self._tables(base)
-        self._latent = tuple(g.index(n) for n in g.latent_names)
-        self._skip = frozenset(g.index(v) for v in t_vars)
-        self._cards, self._plan, self._epsilon = base.cards, base._plan, base.epsilon
-        self._blocks = _blocks(_theta_shapes(base))
-
-    def _tables(self, m: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
-        ia = intervened_array(m, self._t_vars)
-        return observational_joint(m).array, ia.sum(axis=self._drop) if self._drop else ia
-
-    def _gaps(self, obs: np.ndarray, causal: np.ndarray) -> tuple[float, float]:
-        return (float(np.max(np.abs(self._base[0] - obs))),
-                float(np.max(np.abs(self._base[1] - causal))))
-
-    def of_model(self, m: DiscreteModel) -> tuple[float, float]:
-        return self._gaps(*self._tables(m))
-
-    def of_theta(self, theta: np.ndarray) -> tuple[float, float]:
-        cpts = _cpts_from_theta(self._cards, self._blocks, theta, self._epsilon)
-        obs = _factor_product(self._cards, self._plan, cpts, sum_axes=self._latent)
-        ia = _factor_product(self._cards, self._plan, cpts, self._skip, self._latent)
-        return self._gaps(obs, ia.sum(axis=self._drop) if self._drop else ia)
-
-
-def witness_search(
-    g: CausalGraph,
-    t: Iterable[str],
-    s: Iterable[str],
-    budget: int = 40000,
-    seed: int = 0,
-    arity: int = 2,
-    obs_tol: float = 1e-6,
-    causal_gap_min: float = 1e-2,
-    epsilon: float = DEFAULT_EPSILON,
-) -> WitnessReport | None:
-    """Best-effort search for a non-identifiability witness pair.
-
-    Strategy: seeded random restarts pick a base model; a second model
-    starts at the same parameters (observational gap zero) and Nelder-Mead
-    walks its parameters to maximize the causal gap under a heavy penalty on
-    the observational gap.  ``budget`` caps total objective evaluations;
-    ``None`` means the budget ran out without a qualifying pair, which for
-    identifiable effects is the expected outcome.
-
-    Each restart computes the base model's tables once and scores
-    candidates on raw conditional tables (:class:`_WitnessGaps`); the
-    reported model and gaps come from a validated :class:`DiscreteModel`.
-    """
-    from scipy.optimize import minimize
-
-    t_vars, s_vars = frozenset(t), frozenset(s)
-    if budget <= 0:
+    n = len(g)
+    c = frozenset(g.index(v) for v in c_names)
+    t = frozenset(g.index(v) for v in t_names)
+    paths = [_latent_paths(g, i) for i in range(n)]
+    tree = _spanning_tree(g, paths, c, t)
+    pick = _forest(paths, c, t)
+    if tree is None or pick is None:
+        return None
+    roots = c - pick.keys()
+    targets = frozenset(g.index(v) for v in s_vars) - (t - c)
+    blocked = t | {g.index(v) for v in t_vars}
+    hop, queue = {}, sorted(targets)
+    for v in queue:
+        for p in g._parents[v]:
+            if p not in hop and p not in targets and (p in roots or p not in blocked):
+                hop[p] = v
+                if p not in roots:
+                    queue.append(p)
+    if not roots - targets <= hop.keys():
         return None
 
-    evaluations = 0
-    restarts = max(1, budget // 4000)
-    per_restart = max(100, budget // restarts)
+    carries: list[dict] = [{} for _ in range(n)]
+    ins: list[dict] = [{} for _ in range(n)]
 
-    for r in range(restarts):
-        if evaluations >= budget:
-            break
-        m1 = random_model(g, arity=arity, seed=seed + 1000 * r, epsilon=epsilon)
-        gaps = _WitnessGaps(m1, t_vars, s_vars)
-        shapes = _theta_shapes(m1)
-        theta0 = _theta_of(m1)
-        rng = np.random.default_rng(seed + 1000 * r + 17)
-        theta0 = theta0 + rng.normal(scale=0.05, size=theta0.shape)
+    def route(path: list[int], key) -> None:
+        # Latents copy the bit; an observable XORs it in and sends its value on.
+        for p, q in zip(path, path[1:]):
+            if g._obs[q]:
+                ins[q].setdefault(key, p)
+                key = ("value", q)
+            else:
+                carries[q].setdefault(key, p)
 
-        counter = {"n": 0}
+    for k, (a, b, u) in enumerate(tree):
+        carries[u][("tree", k)] = None
+        route(paths[u][a], ("tree", k))
+        route(paths[u][b], ("tree", k))
+    for v, child in pick.items():
+        route(paths[v][child], ("value", v))
+    for r in sorted(roots - targets):
+        path = [r]
+        while path[-1] not in targets:
+            path.append(hop[path[-1]])
+        route(path, ("value", r))
 
-        def objective(theta: np.ndarray) -> float:
-            counter["n"] += 1
-            obs_gap, causal_gap = gaps.of_theta(theta)
-            return 1e4 * max(obs_gap - 0.25 * obs_tol, 0.0) - causal_gap
+    outer = {("tree", k) for k in range(len(c) - 1, len(tree))} | {("value", w) for w in t - c}
+    entering = dict.fromkeys(c, 0)
+    for w in t - c:
+        while w not in c:
+            w = pick[w]
+        entering[w] += 1
+    ins_b, flip_b = list(ins), [WITNESS_NOISE] * n
+    for v in c:
+        ins_b[v] = {key: p for key, p in ins[v].items() if key not in outer}
+        flip_b[v] = (1.0 - (1.0 - 2.0 * WITNESS_NOISE) ** (entering[v] + 1)) / 2.0
+    return (_parity_model(g, carries, ins, [WITNESS_NOISE] * n),
+            _parity_model(g, carries, ins_b, flip_b))
 
-        maxfev = min(per_restart, budget - evaluations)
-        result = minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-12},
-        )
-        evaluations += counter["n"]
-        m2 = _model_from_theta(g, m1.cards, shapes, result.x, epsilon)
-        obs_gap, causal_gap = gaps.of_model(m2)
-        if obs_gap <= obs_tol and causal_gap >= causal_gap_min:
-            return WitnessReport(
-                model_a=m1,
-                model_b=m2,
-                observational_gap=obs_gap,
-                causal_gap=causal_gap,
-                evaluations=evaluations,
-            )
-    return None
+
+def witness_search(g: CausalGraph, t: Iterable[str], s: Iterable[str]) -> WitnessReport | None:
+    """Certificate that P_t(s) is not identifiable: the pair of
+    :func:`_parity_pair`, returned only if :func:`observational_joint` and
+    :func:`intervened_array` show an observational gap <= 1e-9, a causal
+    gap >= 1e-2 over s ∪ t, and positive observational joints.  None for
+    an identifiable effect or a pair that fails this check."""
+    t_vars, s_vars = frozenset(t), frozenset(s)
+    res = causal_effect(t_vars, s_vars, g)
+    pair = None if res.identifiable else _parity_pair(g, *res.witness, t_vars, s_vars)
+    if pair is None:
+        return None
+    drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in t_vars | s_vars)
+    obs = [observational_joint(m).array for m in pair]
+    causal = [intervened_array(m, t_vars).sum(axis=drop) for m in pair]
+    obs_gap = float(np.max(np.abs(obs[0] - obs[1])))
+    causal_gap = float(np.max(np.abs(causal[0] - causal[1])))
+    if obs_gap > 1e-9 or causal_gap < 1e-2 or min(obs[0].min(), obs[1].min()) <= 0.0:
+        return None
+    return WitnessReport(*pair, obs_gap, causal_gap, evaluations=1, pair=res.witness)

@@ -4,10 +4,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalid
 from causalid.cli import main
 
 from conftest import random_dag
@@ -216,6 +221,28 @@ class TestOracle:
         assert data["found"] is True
         assert data["observational_gap"] <= 1e-6
         assert data["causal_gap"] >= 1e-2
+
+    def test_witness_human_line_names_pair(self, graphs, capsys):
+        code = main(["oracle", "witness", "--graph", graphs["bow"], "--do", "X", "--on", "Y"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("witness found for c=['Y'], t=['X', 'Y']: ")
+
+    def test_witness_identifiable_not_found(self, graphs, capsys):
+        code = main(["oracle", "witness", "--graph", graphs["bd"], "--do", "X", "--on", "Y",
+                     "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"found": False}
+
+    def test_witness_imports_no_scipy(self, graphs):
+        # The certificate is constructed, not optimized: nothing pulls in scipy.
+        src = str(Path(causalid.__file__).parents[1])
+        script = ("import sys; from causalid.cli import main; "
+                  f"code = main(['oracle', 'witness', '--graph', {graphs['bow']!r}, "
+                  "'--do', 'X', '--on', 'Y']); print(code, 'scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.splitlines()[-1] == "0 False"
 
     def test_witness_zero_budget(self, graphs, capsys):
         code = main(
