@@ -115,10 +115,11 @@ def _cmd_derive(args) -> int:
         Path(args.out).write_text(
             json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
         )
+    final = d.final
     _emit(
-        {"identifiable": True, "steps": len(d.steps), "final": expr_to_json(d.final)},
+        {"identifiable": True, "steps": len(d.steps), "final": expr_to_json(final)},
         args.json,
-        f"derivation with {len(d.steps)} steps\n  final = {pretty(d.final)}",
+        f"derivation with {len(d.steps)} steps\n  final = {pretty(final)}",
     )
     return EXIT_OK
 

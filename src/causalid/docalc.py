@@ -8,16 +8,23 @@ moves (with factor substitutions carrying nested derivations for the
 inductive regrouping).  Rule 1 is never emitted; where its condition holds,
 rules 2 and 3 suffice (see :func:`expand_rule1`).
 
-The verifier trusts nothing from the generator: each step's changed
-subexpression is located by diffing, the claimed rule instances are rebuilt
-from the leaves and their separation tests re-run on the graph with each
-rule's edge cuts applied, the structural schemas are re-checked, and each
-step is numerically spot-verified on random positive models through the
+A step is its local rewrite: the path to the rewritten subexpression and
+that subexpression before and after, the same in memory as in a derivation
+file.  A derivation holds its initial expression, and every later state is
+a replay of the steps from it.
+
+The verifier trusts nothing from the generator: it replays the steps and
+requires each to rewrite the subexpression its path reaches, narrows each
+rewrite to its changed subexpression by diffing, rebuilds the claimed rule
+instances from the leaves and re-runs their separation tests on the graph
+with each rule's edge cuts applied, re-checks the structural schemas, and
+spot-checks each step numerically on random positive models through the
 oracle's interventional-sentence evaluator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -35,7 +42,6 @@ from .expr import (
 )
 from .graph import CausalGraph, GraphError, json_field, json_names
 from .ident import (
-    EffectTrace,
     IdentResult,
     IdentifyTrace,
     _causal_effect_traced,
@@ -125,7 +131,11 @@ class Substitution:
 
 @dataclass(frozen=True)
 class DerivationStep:
+    """One rewrite: the subexpression at ``path`` of the previous state
+    goes from ``before`` to ``after``; the rest of the state is unchanged."""
+
     kind: str
+    path: Path
     before: DoExpr
     after: DoExpr
     justification: RuleEvidence | StepParams | Substitution
@@ -133,23 +143,23 @@ class DerivationStep:
 
 @dataclass(frozen=True)
 class Derivation:
-    """An ordered chain of justified rewrites.
+    """An ordered chain of justified rewrites of ``initial``.
 
-    For query derivations the first state is the query sentence
-    P(s | do(t)) and the last is observational; nested fragments carry
-    ``query=None`` and are free-standing equalities."""
+    For query derivations the initial state is the query sentence
+    P(s | do(t)) and the final one is observational; nested fragments carry
+    ``query=None`` and are free-standing equalities.  ``initial`` is None
+    only when there are no steps."""
 
     graph: CausalGraph
     query: tuple[frozenset[str], frozenset[str]] | None  # (t, s)
+    initial: DoExpr | None
     steps: tuple[DerivationStep, ...]
 
     @property
-    def initial(self) -> DoExpr:
-        return self.steps[0].before
-
-    @property
-    def final(self) -> DoExpr:
-        return self.steps[-1].after
+    def final(self) -> DoExpr | None:
+        """The initial state with every step replayed; None if a step does
+        not chain from the state before it."""
+        return _replay(self)[0]
 
 
 @dataclass(frozen=True)
@@ -220,19 +230,22 @@ class _Writer:
 
     def __init__(self, graph: CausalGraph, root: DoExpr):
         self.graph = graph
+        self.root = root
         self.state = root
         self.steps: list[DerivationStep] = []
+
+    def derivation(self, query=None) -> Derivation:
+        return Derivation(self.graph, query, self.root, tuple(self.steps))
 
     def apply(self, kind: str, path: Path, after_local: DoExpr, justification):
         if isinstance(justification, RuleEvidence) and not justification.holds:
             raise GraphError(
                 f"internal error: generated {kind} step whose separation fails"
             )
-        new_state = _replace(self.state, path, after_local)
         self.steps.append(
-            DerivationStep(kind, self.state, new_state, justification)
+            DerivationStep(kind, path, _get(self.state, path), after_local, justification)
         )
-        self.state = new_state
+        self.state = _replace(self.state, path, after_local)
 
     def window(self, kind: str, prod_path: Path, lo: int, hi: int,
                new_factors: tuple, justification):
@@ -307,8 +320,7 @@ def _emit_grouped_factorization(
 
     sub_groups = ([gx_rest] if gx_rest else []) + others
     if len(sub_groups) >= 2:
-        nested = _grouped_factorization_derivation(g, h, sub_groups)
-        final = nested.final
+        final, nested = _grouped_factorization_derivation(g, h, sub_groups)
         new_factors = final.factors if isinstance(final, Product) else (final,)
         w.window(SUBSTITUTE, path, 1, 2, tuple(new_factors), Substitution(nested))
 
@@ -337,10 +349,11 @@ def _emit_grouped_factorization(
 
 def _grouped_factorization_derivation(
     g: CausalGraph, scope: frozenset[str], groups: list[frozenset[str]]
-) -> Derivation:
+) -> tuple[DoExpr, Derivation]:
+    """The factorized product and the fragment that derives it."""
     w = _Writer(g, _q_sentence(g, scope))
     _emit_grouped_factorization(w, scope, groups, ())
-    return Derivation(graph=g, query=None, steps=tuple(w.steps))
+    return w.state, w.derivation()
 
 
 def _emit_peel(w: _Writer, sum_path: Path, scope: frozenset[str], x: str) -> Path:
@@ -490,8 +503,7 @@ def _emit_block_to_prefixes(
         if len(sub_blocks) == 1:
             _emit_block_to_prefixes(w, h, b_rest, second, found, prefix_plan)
         else:
-            nested = _grouped_factorization_derivation(g, b_rest, sub_blocks)
-            final = nested.final
+            final, nested = _grouped_factorization_derivation(g, b_rest, sub_blocks)
             w.apply(SUBSTITUTE, second, final, Substitution(nested))
             for i, factor in enumerate(final.factors):
                 sub = next(b for b in sub_blocks if _q_sentence(g, b) == factor)
@@ -618,7 +630,7 @@ class _Reducer:
         self.in_progress.discard(key)
         if not wf.steps:
             raise GraphError(f"internal error: empty reduction for {sentence}")
-        result = (wf.state, Derivation(graph=self.graph, query=None, steps=tuple(wf.steps)))
+        result = (wf.state, wf.derivation())
         self.memo[key] = result
         return result
 
@@ -684,7 +696,7 @@ def derive_effect(
         if plan is None:
             raise GraphError(f"internal error: unplanned sentence {sentence}")
         reducer.reduce_items(w, [(path, plan)])
-    return Derivation(graph=g2, query=(t, s), steps=tuple(w.steps))
+    return w.derivation(query=(t, s))
 
 
 def expand_rule1(r: RuleInstance) -> tuple[RuleInstance, RuleInstance]:
@@ -728,8 +740,6 @@ def _local_diff(b: DoExpr, a: DoExpr) -> tuple[DoExpr, DoExpr] | None:
     if b == a:
         return None
     if isinstance(b, Product) and isinstance(a, Product):
-        from collections import Counter
-
         cb, ca = Counter(b.factors), Counter(a.factors)
 
         def in_order(factors, surplus):
@@ -897,107 +907,104 @@ def _check_normalize(site: tuple[DoExpr, DoExpr], params: StepParams) -> None:
 _SCHEMAS = {CHAIN: _check_chain, MARGINALIZE: _check_marginalize, NORMALIZE: _check_normalize}
 
 
+def _same(p: DoExpr, q: DoExpr) -> bool:
+    """Equal, up to the order of a product's factors."""
+    if isinstance(p, Product) and isinstance(q, Product):
+        return Counter(p.factors) == Counter(q.factors)
+    return p == q
+
+
+def _replay(d: Derivation) -> tuple[DoExpr | None, int | None]:
+    """The final state of ``d``, or None and the first step whose path does
+    not reach its ``before`` in the previous state."""
+    state = d.initial
+    for i, step in enumerate(d.steps):
+        try:
+            chains = _get(state, step.path) == step.before
+        except KeyError:
+            chains = False
+        if not chains:
+            return None, i
+        state = _replace(state, step.path, step.after)
+    return state, None
+
+
+def _check_step(step: DerivationStep, graph: CausalGraph,
+                evaluators: list[DoEvaluator] | None, tolerance: float,
+                cache: dict[int, tuple[Verdict, DoExpr | None]]) -> None:
+    """Raise _Mismatch naming the first check of ``step`` that fails."""
+    site = _local_diff(step.before, step.after)
+    if site is None:
+        raise _Mismatch("step changes nothing")
+    if step.kind in (RULE2, RULE3):
+        _check_rule_step(step, graph, site)
+    elif step.kind in _SCHEMAS:
+        if not isinstance(step.justification, StepParams):
+            raise _Mismatch("missing structural parameters")
+        _SCHEMAS[step.kind](site, step.justification)
+    elif step.kind == SUBSTITUTE:
+        just = step.justification
+        if not isinstance(just, Substitution):
+            raise _Mismatch("missing nested derivation")
+        nested = just.derivation
+        if not nested.steps:
+            raise _Mismatch("nested derivation has no steps")
+        hit = cache.get(id(nested))
+        if hit is None:
+            hit = cache[id(nested)] = _verify_structure(nested, evaluators, tolerance, cache)
+        sub, nested_final = hit
+        if not sub.accepted:
+            raise _Mismatch(f"nested derivation rejected at step {sub.step}: {sub.reason}")
+        ends = (nested.initial, nested_final)
+        if not (
+            (_same(ends[0], site[0]) and _same(ends[1], site[1]))
+            or (_same(ends[0], site[1]) and _same(ends[1], site[0]))
+        ):
+            raise _Mismatch("nested derivation endpoints do not match the site")
+    else:
+        raise _Mismatch(f"unknown step kind {step.kind!r}")
+
+    if evaluators is not None:
+        b, a = site
+        frees = sorted(free_vars(b) | free_vars(a))
+        for ev in evaluators:
+            try:
+                err = float(np.max(np.abs(ev.grid(b, frees) - ev.grid(a, frees))))
+            except PositivityError as exc:
+                raise _Mismatch(f"numeric check failed: {exc}") from None
+            if err > tolerance:
+                raise _Mismatch(f"numeric check failed: sides differ by {err:.3e}")
+
+
 def _verify_structure(
     d: Derivation,
     evaluators: list[DoEvaluator] | None,
     tolerance: float,
-    cache: dict[int, Verdict] | None = None,
-) -> Verdict:
-    if cache is None:
-        cache = {}
+    cache: dict[int, tuple[Verdict, DoExpr | None]],
+) -> tuple[Verdict, DoExpr | None]:
+    """The verdict on ``d`` and, if accepted, its final state.  ``cache``
+    holds the same pair for each nested derivation already checked."""
     if not d.steps:
         if d.query is not None:
-            return Verdict(False, None, "query derivation has no steps")
-        return Verdict(accepted=True)
+            return Verdict(False, None, "query derivation has no steps"), None
+        return Verdict(accepted=True), d.initial
     if d.query is not None:
         t, s = d.query
         want = DoSentence(outcome=s, do=t, given=frozenset())
         if d.initial != want:
-            return Verdict(False, 0, "derivation does not start at the query sentence")
-        if not observational(d.final):
-            return Verdict(False, len(d.steps) - 1,
-                           "final expression still contains interventions")
+            return Verdict(False, 0, "derivation does not start at the query sentence"), None
+    final, broken = _replay(d)
+    if broken is not None:
+        return Verdict(False, broken, "step does not chain from the previous state"), None
+    if d.query is not None and not observational(final):
+        return Verdict(False, len(d.steps) - 1,
+                       "final expression still contains interventions"), None
     for i, step in enumerate(d.steps):
-        if i > 0 and step.before != d.steps[i - 1].after:
-            return Verdict(False, i, "step does not chain from the previous state")
-        site = _local_diff(step.before, step.after)
-        if site is None:
-            return Verdict(False, i, "step changes nothing")
         try:
-            if step.kind in (RULE2, RULE3):
-                _check_rule_step(step, d.graph, site)
-            elif step.kind in _SCHEMAS:
-                if not isinstance(step.justification, StepParams):
-                    return Verdict(False, i, "missing structural parameters")
-                _SCHEMAS[step.kind](site, step.justification)
-            elif step.kind == SUBSTITUTE:
-                just = step.justification
-                if not isinstance(just, Substitution):
-                    return Verdict(False, i, "missing nested derivation")
-                nested = just.derivation
-                if not nested.steps:
-                    return Verdict(False, i, "nested derivation has no steps")
-
-                def _same(p, q) -> bool:
-                    if p == q:
-                        return True
-                    if isinstance(p, Product) and isinstance(q, Product):
-                        from collections import Counter
-
-                        return Counter(p.factors) == Counter(q.factors)
-                    return False
-
-                ends = (nested.initial, nested.final)
-                if not (
-                    (_same(ends[0], site[0]) and _same(ends[1], site[1]))
-                    or (_same(ends[0], site[1]) and _same(ends[1], site[0]))
-                ):
-                    return Verdict(
-                        False, i, "nested derivation endpoints do not match the site"
-                    )
-                sub = cache.get(id(nested))
-                if sub is None:
-                    sub = _verify_structure(nested, evaluators, tolerance, cache)
-                    cache[id(nested)] = sub
-                if not sub.accepted:
-                    return Verdict(
-                        False, i,
-                        f"nested derivation rejected at step {sub.step}: {sub.reason}",
-                    )
-            else:
-                return Verdict(False, i, f"unknown step kind {step.kind!r}")
-        except _Mismatch as err:
-            return Verdict(False, i, str(err))
-        except GraphError as err:
-            return Verdict(False, i, str(err))
-
-        if evaluators is not None:
-            b, a = site
-            frees = sorted(free_vars(b) | free_vars(a))
-            for k, ev in enumerate(evaluators):
-                for retry in range(8):
-                    try:
-                        gb = ev.grid(b, frees)
-                        ga = ev.grid(a, frees)
-                        break
-                    except PositivityError:
-                        # A degenerate model sample cannot witness anything;
-                        # replace it and retry (positive models never hit
-                        # this, but hand-loaded derivations may carry
-                        # sentences with zero-mass contexts).
-                        ev = DoEvaluator(
-                            random_model(d.graph, seed=7919 * (i + 1) + 31 * k + retry)
-                        )
-                        evaluators[k] = ev
-                else:
-                    return Verdict(False, i, "no model with positive context mass")
-                err = float(np.max(np.abs(gb - ga)))
-                if err > tolerance:
-                    return Verdict(
-                        False, i,
-                        f"numeric check failed: sides differ by {err:.3e}",
-                    )
-    return Verdict(accepted=True)
+            _check_step(step, d.graph, evaluators, tolerance, cache)
+        except (_Mismatch, GraphError) as err:
+            return Verdict(False, i, str(err)), None
+    return Verdict(accepted=True), final
 
 
 def verify_derivation(
@@ -1019,38 +1026,12 @@ def verify_derivation(
         evaluators = [
             DoEvaluator(random_model(d.graph, seed=seed + i)) for i in range(models)
         ]
-    return _verify_structure(d, evaluators, tolerance)
+    return _verify_structure(d, evaluators, tolerance, {})[0]
 
 
 # -- serialization ----------------------------------------------------------------
 
 FORMAT = 2
-
-
-def _site(b: DoExpr, a: DoExpr) -> tuple[Path, DoExpr, DoExpr]:
-    """The path to the subexpression that ``b`` and ``a`` differ in, and that
-    subexpression of each: everything off the path is equal.  Children are
-    compared by identity, and by equality only when several differ by
-    identity."""
-    path = []
-    while b is not a:
-        if isinstance(b, Sum) and isinstance(a, Sum) and b.bound == a.bound:
-            kids = [("body", b.body, a.body)]
-        elif isinstance(b, Quotient) and isinstance(a, Quotient):
-            kids = [("num", b.num, a.num), ("den", b.den, a.den)]
-        elif (isinstance(b, Product) and isinstance(a, Product)
-              and len(b.factors) == len(a.factors)):
-            kids = zip(range(len(b.factors)), b.factors, a.factors)
-        else:
-            break
-        differ = [k for k in kids if k[1] is not k[2]]
-        if len(differ) > 1:
-            differ = [k for k in differ if k[1] != k[2]]
-        if len(differ) != 1:
-            break
-        part, b, a = differ[0]
-        path.append(part)
-    return tuple(path), b, a
 
 
 class _Encoder:
@@ -1086,24 +1067,18 @@ class _Encoder:
         raise TypeError(j)
 
     def body(self, x: Derivation) -> dict:
-        state = x.steps[0].before if x.steps else None
-        steps = []
-        for step in x.steps:
-            b, a = step.before, step.after
-            path = []
-            if b is state or b == state:
-                path, b, a = _site(b, a)
-            steps.append({
-                "kind": step.kind,
-                "path": list(path),
-                "before": expr_to_json(b),
-                "after": expr_to_json(a),
-                "justification": self.justification(step.justification),
-            })
-            state = step.after
         return {
-            "initial": expr_to_json(x.steps[0].before) if x.steps else None,
-            "steps": steps,
+            "initial": None if x.initial is None else expr_to_json(x.initial),
+            "steps": [
+                {
+                    "kind": step.kind,
+                    "path": list(step.path),
+                    "before": expr_to_json(step.before),
+                    "after": expr_to_json(step.after),
+                    "justification": self.justification(step.justification),
+                }
+                for step in x.steps
+            ],
         }
 
 
@@ -1112,10 +1087,9 @@ def derivation_to_json(d: Derivation) -> dict:
 
     The graph is written once.  Nested derivations become entries of
     ``"fragments"``, each written once (shared fragments are found by
-    identity) and after every fragment it refers to.  A step stores its
-    ``path`` and the subexpressions at that path before and after the
-    rewrite; a step that does not chain from the previous state stores
-    path ``[]`` and both whole states, so every derivation round-trips.
+    identity) and after every fragment it refers to.  Each body stores its
+    ``initial`` expression and its steps' fields as they are: the ``path``
+    and the subexpressions at that path before and after the rewrite.
     """
     graph = d.graph
     encoder = _Encoder(graph)
@@ -1168,8 +1142,9 @@ def _do_expr_from_json(data, observable: frozenset[str]) -> DoExpr:
     return e
 
 
-def _steps_from_json(data: Mapping, graph: CausalGraph, fragments: list[Derivation],
-                     total: int) -> tuple[DerivationStep, ...]:
+def _body_from_json(data: Mapping, graph: CausalGraph,
+                    query: tuple[frozenset[str], frozenset[str]] | None,
+                    fragments: list[Derivation], total: int) -> Derivation:
     """Decode one ``{"initial", "steps"}`` body.  ``fragments`` holds the
     decoded fragments it may refer to, the first ``len(fragments)`` of the
     file's ``total``."""
@@ -1178,14 +1153,15 @@ def _steps_from_json(data: Mapping, graph: CausalGraph, fragments: list[Derivati
     if steps_data and initial is None:
         raise ValueError("'initial' must be an object when there are steps")
     observable = frozenset(graph.observable_names)
-    state = _do_expr_from_json(initial, observable) if steps_data else None
+    if initial is not None:
+        initial = _do_expr_from_json(initial, observable)
     steps = []
     for i, sd in enumerate(steps_data):
         try:
             kind = json_field(sd, "kind", str)
             path = _path_from_json(json_field(sd, "path", list))
-            b_site = _do_expr_from_json(json_field(sd, "before", dict), observable)
-            a_site = _do_expr_from_json(json_field(sd, "after", dict), observable)
+            before = _do_expr_from_json(json_field(sd, "before", dict), observable)
+            after = _do_expr_from_json(json_field(sd, "after", dict), observable)
             jd = json_field(sd, "justification", dict)
             jtype = json_field(jd, "type", str)
             if jtype == "rule":
@@ -1207,25 +1183,17 @@ def _steps_from_json(data: Mapping, graph: CausalGraph, fragments: list[Derivati
                 raise ValueError(f"unknown justification type {jtype!r}")
         except ValueError as err:
             raise ValueError(f"steps[{i}]: {err}") from None
-        try:
-            # A chaining step starts from the previous state itself.
-            before = state if _get(state, path) == b_site else _replace(state, path, b_site)
-            after = _replace(state, path, a_site)
-        except KeyError:
-            # The path does not fit the previous state: take the sites as
-            # whole states, which the verifier's chaining check rejects.
-            before, after = b_site, a_site
-        steps.append(DerivationStep(kind, before, after, just))
-        state = after
-    return tuple(steps)
+        steps.append(DerivationStep(kind, path, before, after, just))
+    return Derivation(graph, query, initial, tuple(steps))
 
 
 def derivation_from_json(data: Mapping) -> Derivation:
     """Decode a format-2 derivation file (see :func:`derivation_to_json`).
 
-    Steps are rebuilt into full states and each fragment into one shared
-    :class:`Derivation`; rule evidence is taken as claimed, for the
-    verifier to recompute.  Malformed input raises ValueError.
+    Steps are decoded as stored, without replaying them, and each fragment
+    into one shared :class:`Derivation`; chaining and rule evidence are
+    taken as claimed, for the verifier to recompute.  Malformed input
+    raises ValueError.
     """
     where = "format"
     try:
@@ -1244,10 +1212,8 @@ def derivation_from_json(data: Mapping) -> Derivation:
         fragments_data = json_field(data, "fragments", list)
         for k, fd in enumerate(fragments_data):
             where = f"fragments[{k}]"
-            steps = _steps_from_json(fd, graph, fragments, len(fragments_data))
-            fragments.append(Derivation(graph=graph, query=None, steps=steps))
+            fragments.append(_body_from_json(fd, graph, None, fragments, len(fragments_data)))
         where = "derivation"
-        steps = _steps_from_json(data, graph, fragments, len(fragments))
+        return _body_from_json(data, graph, query, fragments, len(fragments))
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
-    return Derivation(graph=graph, query=query, steps=steps)

@@ -87,17 +87,13 @@ class IdentifyTrace:
 
 @dataclass(frozen=True)
 class ComputeQTrace:
-    scope: frozenset[str]
     s_blocks: tuple[frozenset[str], ...]
-    n_blocks: tuple[frozenset[str], ...]
     identify_traces: tuple[IdentifyTrace, ...]
 
 
 @dataclass(frozen=True)
 class EffectTrace:
     graph: CausalGraph  # after barren-latent removal
-    t: frozenset[str]
-    s: frozenset[str]
     d: frozenset[str]
     cq: ComputeQTrace
 
@@ -236,14 +232,12 @@ def _compute_q_traced(
 
     s_blocks = _observable_components(g, s)
     factors: list[ProbExpr] = []
-    n_blocks: list[frozenset[str]] = []
     traces: list[IdentifyTrace] = []
     for sb in s_blocks:
         owners = {part.block_of[v] for v in sb}
         if len(owners) != 1:
             raise GraphError("component block straddles graph components")
         nj = part.blocks[owners.pop()] & n
-        n_blocks.append(nj)
         try:
             qf, tr = _identify_traced(sb, nj, n_factors[nj], g)
         except Unidentifiable as u:
@@ -252,12 +246,7 @@ def _compute_q_traced(
         traces.append(tr)
 
     estimand = factors[0] if len(factors) == 1 else Product(factors)
-    trace = ComputeQTrace(
-        scope=s,
-        s_blocks=tuple(s_blocks),
-        n_blocks=tuple(n_blocks),
-        identify_traces=tuple(traces),
-    )
+    trace = ComputeQTrace(s_blocks=tuple(s_blocks), identify_traces=tuple(traces))
     return IdentResult(estimand=estimand, witness=None), trace
 
 
@@ -295,7 +284,7 @@ def _causal_effect_traced(
     if extras:
         raw = Sum(extras, Product([JointMarginal(extras), raw]))
     estimand = simplify(canonicalize(raw))
-    trace = EffectTrace(graph=g, t=t, s=s, d=d, cq=cq)
+    trace = EffectTrace(graph=g, d=d, cq=cq)
     return IdentResult(estimand=estimand, witness=None), trace
 
 

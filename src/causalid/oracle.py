@@ -35,7 +35,9 @@ __all__ = [
     "witness_search",
 ]
 
-DEFAULT_EPSILON = 0.01
+# The least entry of a random_model table: every context then has mass at
+# least MIN_PROB ** len(graph) > 0.
+MIN_PROB = 0.01
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,11 @@ class DiscreteModel:
     ``cards[i]`` is the domain size of node ``i`` (graph index order) and
     ``cpts[i]`` holds P(node | parents) with one leading axis per parent (in
     index order) and the node's own domain last; every row sums to one.
-    ``epsilon`` records the positivity floor the tables were built with
-    (zero for unconstrained tables).
     """
 
     graph: CausalGraph
     cards: tuple[int, ...]
     cpts: tuple[np.ndarray, ...]
-    epsilon: float = 0.0
     _plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -96,18 +95,17 @@ def random_model(
     g: CausalGraph,
     arity: int | Mapping[str, int] = 2,
     seed: int = 0,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> DiscreteModel:
     """Reproducible positive model: conditional rows are drawn uniformly,
-    then mixed with the uniform distribution so every entry is >= epsilon."""
+    then mixed with the uniform distribution so every entry is >= MIN_PROB."""
     if isinstance(arity, int):
         cards = tuple(arity for _ in g.names)
     else:
         cards = tuple(int(arity[n]) for n in g.names)
     if any(c < 2 for c in cards):
         raise ValueError("every domain needs at least two values")
-    if any(c * epsilon >= 1.0 for c in cards):
-        raise ValueError("epsilon too large for the requested arity")
+    if any(c * MIN_PROB >= 1.0 for c in cards):
+        raise ValueError(f"domains must have fewer than {round(1 / MIN_PROB)} values")
 
     rng = np.random.default_rng(seed)
     cpts = []
@@ -115,9 +113,9 @@ def random_model(
         shape = tuple(cards[j] for j in g._parents[i]) + (cards[i],)
         raw = rng.random(shape) + 1e-12
         probs = raw / raw.sum(axis=-1, keepdims=True)
-        probs = (1.0 - cards[i] * epsilon) * probs + epsilon
+        probs = (1.0 - cards[i] * MIN_PROB) * probs + MIN_PROB
         cpts.append(probs)
-    return DiscreteModel(graph=g, cards=cards, cpts=tuple(cpts), epsilon=epsilon)
+    return DiscreteModel(graph=g, cards=cards, cpts=tuple(cpts))
 
 
 def _factor_product(

@@ -405,6 +405,17 @@ class TestClaimedEvidence:
         assert "claimed edge cuts or verdict differ" in out
 
 
+class TestUnresolvedPath:
+    def test_path_into_a_sentence_exit_three(self, fd_derivation, tmp_path, capsys):
+        # A well-formed path that the previous state has no subexpression at.
+        i, step = next((i, s) for i, s in enumerate(fd_derivation["steps"])
+                       if s["before"]["kind"] == "sentence")
+        step["path"] = step["path"] + [7]
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 3
+        assert f"rejected at step {i}: step does not chain" in out
+
+
 class TestQuerylessFile:
     def test_null_query_exit_three(self, fd_derivation, tmp_path, capsys):
         fd_derivation["query"] = None

@@ -14,6 +14,7 @@ from causalid.docalc import (
     StepParams,
     Substitution,
     _get,
+    _replace,
     derivation_from_json,
     derivation_to_json,
     derive_effect,
@@ -115,7 +116,8 @@ class TestVerifyRejections:
         d = Derivation(
             graph=g_bow,
             query=None,
-            steps=(DerivationStep("Rule3", before, after, ev),),
+            initial=before,
+            steps=(DerivationStep("Rule3", (), before, after, ev),),
         )
         verdict = verify_derivation(d)
         assert not verdict.accepted
@@ -127,11 +129,12 @@ class TestVerifyRejections:
         # swap the last step's after-expression for a wrong marginal
         bad_last = DerivationStep(
             d.steps[-1].kind,
+            d.steps[-1].path,
             d.steps[-1].before,
             DoSentence(frozenset({"Y"}), frozenset(), frozenset()),
             d.steps[-1].justification,
         )
-        tampered = Derivation(d.graph, d.query, d.steps[:-1] + (bad_last,))
+        tampered = Derivation(d.graph, d.query, d.initial, d.steps[:-1] + (bad_last,))
         verdict = verify_derivation(tampered)
         assert not verdict.accepted
         assert verdict.step == len(d.steps) - 1
@@ -140,7 +143,7 @@ class TestVerifyRejections:
         d = derive_effect({"X"}, {"Y"}, g_backdoor)
         steps = list(d.steps)
         del steps[1]
-        verdict = verify_derivation(Derivation(d.graph, d.query, tuple(steps)))
+        verdict = verify_derivation(Derivation(d.graph, d.query, d.initial, tuple(steps)))
         assert not verdict.accepted
 
     def test_mismatched_embedded_instance_rejected(self, g_backdoor):
@@ -156,8 +159,8 @@ class TestVerifyRejections:
                         frozenset({"Y"}), frozenset(), g_backdoor)
         )
         steps = list(d.steps)
-        steps[idx] = DerivationStep(step.kind, step.before, step.after, other)
-        verdict = verify_derivation(Derivation(d.graph, d.query, tuple(steps)),
+        steps[idx] = DerivationStep(step.kind, step.path, step.before, step.after, other)
+        verdict = verify_derivation(Derivation(d.graph, d.query, d.initial, tuple(steps)),
                                     models=0)
         assert not verdict.accepted
         assert verdict.step == idx
@@ -184,9 +187,10 @@ class TestVerifyRejections:
 
         steps = list(dd.steps)
         steps[i] = DerivationStep(
-            "FactorSubstitute", steps[i].before, steps[i].after, Substitution(other)
+            "FactorSubstitute", steps[i].path, steps[i].before, steps[i].after,
+            Substitution(other),
         )
-        tampered = Derivation(dd.graph, dd.query, tuple(steps))
+        tampered = Derivation(dd.graph, dd.query, dd.initial, tuple(steps))
         assert not verify_derivation(tampered, models=0).accepted
 
     def test_single_normalize_to_one_accepts(self, g_chain):
@@ -194,9 +198,11 @@ class TestVerifyRejections:
         d = Derivation(
             graph=g_chain,
             query=None,
+            initial=before,
             steps=(
                 DerivationStep(
                     "NormalizeToOne",
+                    (),
                     before,
                     One(),
                     StepParams(vars=frozenset({"Y"}), direction="collapse"),
@@ -212,9 +218,10 @@ class TestVerifyRejections:
             {"Y"}, DoSentence(frozenset({"Z", "Y"}), frozenset({"X"}), frozenset())
         )
         step = DerivationStep(
-            "Marginalize", before, Quotient(after, after), StepParams(frozenset({"Y"}), "introduce")
+            "Marginalize", (), before, Quotient(after, after),
+            StepParams(frozenset({"Y"}), "introduce"),
         )
-        d = Derivation(g_chain, None, (step,))
+        d = Derivation(g_chain, None, before, (step,))
         assert not verify_derivation(d).accepted
 
 
@@ -294,6 +301,18 @@ class TestRoundTrips:
             res = causal_effect(t, s, g)
             assert final_agrees_with_estimand(d, res, g, seeds=(trial,))
         assert checked >= 30
+
+    def test_every_single_step_deletion_rejected(self):
+        # Deleting any one step leaves a chain that no longer reaches the
+        # observational final state through valid rewrites.
+        deleted = 0
+        for d in sweep_derivations():
+            for i in range(len(d.steps)):
+                steps = d.steps[:i] + d.steps[i + 1:]
+                broken = Derivation(d.graph, d.query, d.initial, steps)
+                assert not verify_derivation(broken, models=0).accepted, (d.query, i)
+                deleted += 1
+        assert deleted >= 100
 
     def test_json_round_trip(self, g_frontdoor):
         d = derive_effect({"X"}, {"Y"}, g_frontdoor)
@@ -387,7 +406,7 @@ class TestFormat2:
     def test_fragment_used_twice_in_one_derivation(self, g_frontdoor):
         d = derive_effect({"X"}, {"Y"}, g_frontdoor)
         step = next(s for s in d.steps if isinstance(s.justification, Substitution))
-        twice = Derivation(d.graph, None, (step, step))
+        twice = Derivation(d.graph, None, d.initial, (step, step))
         data = derivation_to_json(twice)
         assert len(data["fragments"]) == len(
             {id(f) for f in nested_fragments(twice)}
@@ -401,9 +420,8 @@ class TestFormat2:
         d = derive_effect({"X"}, {"Y"}, g_backdoor)
         steps = list(d.steps)
         del steps[1]
-        broken = Derivation(d.graph, d.query, tuple(steps))
+        broken = Derivation(d.graph, d.query, d.initial, tuple(steps))
         data = derivation_to_json(broken)
-        assert data["steps"][1]["path"] == []
         back = derivation_from_json(data)
         assert back == broken
         want = verify_derivation(broken, models=0)
@@ -414,9 +432,12 @@ class TestFormat2:
         d = derive_effect({"X"}, {"Y"}, g_frontdoor)
         data = derivation_to_json(d)
         assert any(step["path"] for step in data["steps"])
+        state = d.initial
         for step, sd in zip(d.steps, data["steps"]):
-            assert sd["before"] == expr_to_json(_get(step.before, tuple(sd["path"])))
-            assert sd["after"] == expr_to_json(_get(step.after, tuple(sd["path"])))
+            after = _replace(state, tuple(sd["path"]), step.after)
+            assert sd["before"] == expr_to_json(_get(state, tuple(sd["path"])))
+            assert sd["after"] == expr_to_json(_get(after, tuple(sd["path"])))
+            state = after
 
     def test_derive_out_is_byte_identical(self, tmp_path):
         graph = tmp_path / "fd.cg"
