@@ -41,7 +41,7 @@ from .docalc import (
 from .expr import expr_to_json, pretty
 from .graph import CausalGraph, GraphError, parse_graph_text
 from .ident import causal_effect
-from .oracle import check_estimand, witness_search
+from .oracle import _check_tolerance, check_estimand, witness_search
 from .sep import SeparationQuery, d_separated
 from .tables import EnumerationLimitError
 
@@ -126,6 +126,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_check(args) -> int:
     _at_least("--models", args.models, 0)
+    _check_tolerance(args.tolerance, "--tolerance")
     data = json.loads(Path(args.derivation).read_text())
     d = derivation_from_json(data)
     if d.query is None:
@@ -172,9 +173,7 @@ def _cmd_dsep(args) -> int:
 
 def _cmd_ccomp(args) -> int:
     g = _load_graph(args.graph)
-    if args.scope:
-        g = g.latent_subgraph(_names(g, args.scope))
-    partition = c_components(g)
+    partition = c_components(g, _names(g, args.scope) if args.scope else None)
     blocks = [list(g.sorted_nodes(b)) for b in partition.blocks]
     print(json.dumps(blocks))
     return EXIT_OK
@@ -182,6 +181,7 @@ def _cmd_ccomp(args) -> int:
 
 def _cmd_oracle_verify(args) -> int:
     _at_least("--trials", args.trials, 1)
+    _check_tolerance(args.tolerance, "--tolerance")
     g = _load_graph(args.graph)
     t = _names(g, args.do)
     s = _names(g, args.on)

@@ -47,7 +47,7 @@ from .ident import (
     _causal_effect_traced,
     _observable_components,
 )
-from .oracle import DoEvaluator, random_model
+from .oracle import DoEvaluator, _check_tolerance, random_model
 from .sep import RuleEvidence, RuleInstance, evidence_from_json, rule_applicable
 
 __all__ = [
@@ -1019,8 +1019,10 @@ def verify_derivation(
     are recomputed without trusting the generator; in addition the changed
     subexpression of each step is evaluated on ``models`` random positive
     models and both sides must agree within ``tolerance`` on every
-    assignment of their free variables.
+    assignment of their free variables.  ``tolerance`` must be a finite
+    number >= 0.
     """
+    _check_tolerance(tolerance)
     evaluators = None
     if models > 0:
         evaluators = [

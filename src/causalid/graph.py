@@ -2,10 +2,13 @@
 
 A :class:`CausalGraph` is an immutable DAG whose nodes are either observable
 or latent (unobservable).  Latent confounding is modelled with explicit
-latent nodes, not bidirected edges.  All mutilation operations (edge cuts,
-latent subgraphs, barren-latent removal) return new graphs; node identity is
-name-based at the API surface and index-based internally, and every ordered
-output uses the canonical index order so results are deterministic.
+latent nodes, not bidirected edges.  Node identity is name-based at the API
+surface and index-based internally, and every ordered output uses the
+canonical index order so results are deterministic.  Scoped questions
+(ancestors or c-components inside the latent subgraph over a scope) are
+walks on the index adjacency; the derived graphs (edge cuts, latent
+subgraphs) serve as independent references, and the engine builds only
+:meth:`CausalGraph.remove_barren_latents`.
 """
 
 from __future__ import annotations
@@ -280,30 +283,48 @@ class CausalGraph:
         """Union of ``c`` and every node reachable from ``c``."""
         return self._to_names(self._closure(self._resolve(c), self._children))
 
+    def _observables(self, c: Names, caller: str) -> frozenset[int]:
+        """The indices of ``c``; GraphError naming ``caller`` if one is latent."""
+        cidx = self._resolve(c)
+        for i in cidx:
+            if not self._obs[i]:
+                raise GraphError(
+                    f"{caller}() requires observable nodes, got latent {self._names[i]!r}"
+                )
+        return cidx
+
+    def _up(self, seeds: frozenset[int], scope: frozenset[int] = frozenset()) -> set[int]:
+        """``seeds`` and every node with a directed path into them along
+        parents that are latent or in ``scope``.
+
+        For observable ``seeds`` within ``scope`` these are their ancestors
+        in the latent subgraph over ``scope``, which holds every latent
+        parent of its nodes; with no ``scope``, ``seeds`` and their dup.
+        """
+        parents, obs = self._parents, self._obs
+        out = set(seeds)
+        frontier = list(seeds)
+        while frontier:
+            for p in parents[frontier.pop()]:
+                if p not in out and (p in scope or not obs[p]):
+                    out.add(p)
+                    frontier.append(p)
+        return out
+
     def dup(self, c: Names) -> frozenset[str]:
         """Latent nodes with a directed path into ``c`` whose internal nodes
         are all latent.
 
         ``c`` must contain observable nodes only.
         """
-        cidx = self._resolve(c)
-        for i in cidx:
-            if not self._obs[i]:
-                raise GraphError(
-                    f"dup() requires observable nodes, got latent {self._names[i]!r}"
-                )
-        # Reverse closure over latent parents: a latent parent of a member of
-        # c qualifies directly, and latent parents of qualifying latents
-        # extend the all-latent path.
-        found: set[int] = set()
-        frontier = [p for i in cidx for p in self._parents[i] if not self._obs[p]]
-        while frontier:
-            u = frontier.pop()
-            if u in found:
-                continue
-            found.add(u)
-            frontier.extend(p for p in self._parents[u] if not self._obs[p])
-        return self._to_names(found)
+        cidx = self._observables(c, "dup")
+        return self._to_names(self._up(cidx) - cidx)
+
+    def _ancestors_within(self, c: Names, scope: Names) -> frozenset[str]:
+        """The observable ancestors of ``c`` (within ``scope``) in the latent
+        subgraph over ``scope``."""
+        sidx = self._resolve(scope)
+        return self._to_names(self._up(self._resolve(c), sidx) & sidx)
 
     # -- derived graphs ----------------------------------------------------------
 
@@ -321,8 +342,7 @@ class CausalGraph:
     def latent_subgraph(self, c: Names) -> "CausalGraph":
         """Subgraph on ``c`` plus its all-latent-path parents, with every
         edge between retained nodes."""
-        keep = set(self._resolve(c)) | {self.index(n) for n in self.dup(c)}
-        return self._subgraph(keep)
+        return self._subgraph(self._up(self._observables(c, "dup")))
 
     def _keep_edges(self, keep) -> "CausalGraph":
         """The graph with the edges ``(p, c)`` (indices) that ``keep`` accepts."""
@@ -343,16 +363,10 @@ class CausalGraph:
     def remove_barren_latents(self) -> "CausalGraph":
         """Drop every latent node without an observable descendant.
 
-        Equivalent to iterating single deletions to a fixpoint: any node on a
-        directed path to an observable has that observable as a descendant,
-        so no kept latent ever depends on a dropped one.
+        The kept nodes are the ancestors of the observables, so no kept
+        latent ever depends on a dropped one.
         """
-        keep = {
-            i
-            for i in range(len(self._names))
-            if self._obs[i]
-            or any(self._obs[j] for j in self._closure(frozenset([i]), self._children))
-        }
+        keep = self._closure(frozenset(i for i, o in enumerate(self._obs) if o), self._parents)
         if len(keep) == len(self._names):
             return self
         return self._subgraph(keep)
@@ -374,17 +388,10 @@ class CausalGraph:
         """True iff ``s`` contains all of its observed ancestors inside the
         latent subgraph over ``within``."""
         sidx = self._resolve(s)
-        widx = self._resolve(within)
-        if not sidx <= widx:
+        if not sidx <= self._resolve(within):
             raise GraphError("s must be a subset of `within`")
-        for i in widx:
-            if not self._obs[i]:
-                raise GraphError(
-                    f"is_ancestral() requires observable nodes, got latent {self._names[i]!r}"
-                )
-        sub = self.latent_subgraph(self._to_names(widx))
-        got = sub.ancestors(self._to_names(sidx)) & set(sub.observable_names)
-        return got == self._to_names(sidx)
+        widx = self._observables(within, "is_ancestral")
+        return self._up(sidx, widx) & widx == sidx
 
     # -- serialization ---------------------------------------------------------
 

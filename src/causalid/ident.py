@@ -152,8 +152,7 @@ def factorize_components(
 
 
 def _observable_components(g: CausalGraph, scope: frozenset[str]) -> list[frozenset[str]]:
-    sub = g.latent_subgraph(scope)
-    return observable_blocks(c_components(sub), sub)
+    return observable_blocks(c_components(g, scope), g)
 
 
 def _assert_single_component(g: CausalGraph, scope: frozenset[str], role: str):
@@ -177,8 +176,7 @@ def _identify_traced(
 
     levels: list[tuple[frozenset[str], frozenset[str]]] = []
     while True:
-        gt = g.latent_subgraph(t)
-        a = gt.ancestors(c) & t
+        a = g._ancestors_within(c, t)
         levels.append((t, a))
         if a == c:
             qf = QFactor(c, canonicalize(Sum(t - c, q_t.estimand)))
@@ -269,7 +267,7 @@ def _causal_effect_traced(
 
     g = g.remove_barren_latents()
     n = frozenset(g.observable_names)
-    d = g.latent_subgraph(n - t).ancestors(s) & n
+    d = g._ancestors_within(s, n - t)
 
     res, cq = _compute_q_traced(d, g)
     if not res.identifiable:

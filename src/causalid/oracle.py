@@ -35,6 +35,15 @@ __all__ = [
     "witness_search",
 ]
 
+
+def _check_tolerance(tolerance, name: str = "tolerance") -> None:
+    """Raise ValueError unless ``tolerance`` is a finite number >= 0: a NaN
+    or infinite tolerance would accept any difference, a negative one none."""
+    if not (isinstance(tolerance, (int, float)) and math.isfinite(tolerance)
+            and tolerance >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {tolerance}")
+
+
 # The least entry of a random_model table: every context then has mass at
 # least MIN_PROB ** len(graph) > 0.
 MIN_PROB = 0.01
@@ -291,6 +300,7 @@ def check_estimand(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_tolerance(tolerance)
     t_vars, s_vars = frozenset(t), frozenset(s)
     if t_vars & s_vars:
         raise GraphError("t and s must be disjoint")
@@ -322,6 +332,7 @@ def check_estimand(
 def ci_check(m: DiscreteModel, q: SeparationQuery, tolerance: float = 1e-9) -> bool:
     """Does P(x, y | z) = P(x|z) P(y|z) hold on all assignments with
     P(z) > 0?  Latent nodes may appear in the query; the full joint is used."""
+    _check_tolerance(tolerance)
     tab = full_joint(m)
     all_vars = q.x | q.y | q.z
     order = [n for n in m.graph.names if n in all_vars]

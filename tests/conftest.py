@@ -1,5 +1,7 @@
 """Shared fixture graphs and random-structure helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ def random_dag(rng: np.random.Generator, n_obs: int, n_lat: int, p_edge: float =
             if rng.random() < p_edge:
                 edges.append((names[order[a]], names[order[b]]))
     return CausalGraph(list(zip(names, observable)), edges)
+
+
+def scoped_sweep(seed: int, graphs: int = 40):
+    """``(g, scope)`` for every nonempty observable scope of seeded random
+    DAGs with four latents, so that latent chains occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(graphs):
+        g = random_dag(rng, n_obs=5, n_lat=4, p_edge=0.35)
+        obs = g.observable_names
+        for r in range(1, len(obs) + 1):
+            yield from ((g, scope) for scope in itertools.combinations(obs, r))
 
 
 def grid_value(e, joint, a):

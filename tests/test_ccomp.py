@@ -1,11 +1,24 @@
 """c-component partitioning."""
 
 import numpy as np
+import pytest
 
 from causalid.ccomp import c_components, observable_blocks
-from causalid.graph import CausalGraph
+from causalid.graph import CausalGraph, GraphError
 
-from conftest import random_dag
+from conftest import random_dag, scoped_sweep
+
+
+def brute_force_blocks(g):
+    """The transitive closure of "joined by an edge that leaves a latent",
+    by merging blocks edge by edge, ordered by smallest node index."""
+    block = {n: frozenset([n]) for n in g.names}
+    latent = set(g.latent_names)
+    for p, c in g.edges:
+        if p in latent and block[p] != block[c]:
+            merged = block[p] | block[c]
+            block.update(dict.fromkeys(merged, merged))
+    return tuple(sorted(set(block.values()), key=lambda b: min(map(g.index, b))))
 
 
 class TestCComponents:
@@ -61,6 +74,31 @@ class TestCComponents:
                 [(n, g.is_observable(n)) for n in reversed(g.names)], g.edges
             )
             assert set(c_components(g).blocks) == set(c_components(rev).blocks)
+
+    def test_matches_brute_force_closure(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            g = random_dag(rng, n_obs=5, n_lat=4, p_edge=0.35)
+            assert c_components(g).blocks == brute_force_blocks(g)
+
+
+class TestScopedCComponents:
+    def test_frontdoor_scope(self, g_frontdoor):
+        p = c_components(g_frontdoor, ["Z", "Y"])
+        assert p.blocks == (frozenset({"Z"}), frozenset({"Y", "U"}))
+
+    def test_latent_scope_rejected(self, g_bow):
+        with pytest.raises(GraphError, match="requires observable nodes"):
+            c_components(g_bow, ["U"])
+
+    def test_matches_latent_subgraph(self):
+        chains = 0
+        for g, scope in scoped_sweep(41):
+            sub = g.latent_subgraph(scope)
+            assert c_components(g, scope).blocks == c_components(sub).blocks, scope
+            latent = set(sub.latent_names)
+            chains += any(p in latent and c in latent for p, c in sub.edges)
+        assert chains  # the sweep reaches latent chains inside a scope
 
 
 class TestObservableBlocks:

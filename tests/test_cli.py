@@ -157,6 +157,21 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --models must be at least 0, got -1\n"
         assert main(["check", "--derivation", str(out), "--models", "0"]) == 0
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, graphs, tmp_path, capsys,
+                                                      tolerance):
+        # A NaN or infinite tolerance made the numeric checks vacuous, and a
+        # negative one rejected sides that agree exactly.
+        out = tmp_path / "d.json"
+        main(["derive", "--graph", graphs["fd"], "--do", "X", "--on", "Y", "--out", str(out)])
+        capsys.readouterr()
+        want = f"error: --tolerance must be a finite number >= 0, got {float(tolerance)}\n"
+        for argv in (["check", "--derivation", str(out)],
+                     ["oracle", "verify", "--graph", graphs["fd"], "--do", "X", "--on", "Y"]):
+            assert main(argv + ["--tolerance", tolerance]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", want)
+
     def test_negative_budget_rejected(self, graphs, capsys):
         code = main(["oracle", "witness", "--graph", graphs["bd"], "--do", "X", "--on", "Y",
                      "--budget", "-1"])

@@ -225,6 +225,13 @@ class TestVerifyRejections:
         assert not verify_derivation(d).accepted
 
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, g_frontdoor, tolerance):
+        d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            verify_derivation(d, tolerance=tolerance)
+
+
 class TestExpandRule1:
     def test_chain_instance(self, g_chain):
         r = RuleInstance(1, frozenset(), frozenset({"Y"}), frozenset({"X"}),

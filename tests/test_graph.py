@@ -11,7 +11,7 @@ from causalid.graph import (
     parse_graph_text,
 )
 
-from conftest import random_dag
+from conftest import random_dag, scoped_sweep
 
 
 class TestAncestorsDescendants:
@@ -96,6 +96,21 @@ class TestLatentSubgraph:
         assert set(sub.edges) == {("U", "Y")}
 
 
+class TestAncestorsWithin:
+    def test_frontdoor(self, g_frontdoor):
+        # Z -> Y survives in the subgraph over {Z, Y}; X lies outside it
+        assert g_frontdoor._ancestors_within(["Y"], ["Z", "Y"]) == {"Z", "Y"}
+        assert g_frontdoor._ancestors_within(["Z"], ["Z", "Y"]) == {"Z"}
+
+    def test_matches_latent_subgraph(self):
+        for g, scope in scoped_sweep(43):
+            sub = g.latent_subgraph(scope)
+            for c in [scope[:1], scope[-2:], scope]:
+                want = sub.ancestors(c) & set(scope)
+                assert g._ancestors_within(c, scope) == want, (scope, c)
+                assert g.is_ancestral(c, scope) == (want == set(c))
+
+
 class TestCuts:
     def test_cut_incoming_backdoor(self, g_backdoor):
         assert set(g_backdoor.cut_incoming(["X"]).edges) == {("Z", "Y"), ("X", "Y")}
@@ -145,6 +160,21 @@ class TestBarrenLatents:
             r = g.remove_barren_latents()
             assert r.remove_barren_latents() == r
             assert r.observable_names == g.observable_names
+
+    def test_matches_descendant_definition(self):
+        rng = np.random.default_rng(19)
+        dropped = 0
+        for _ in range(60):
+            g = random_dag(rng, n_obs=4, n_lat=4, p_edge=0.25)
+            obs = set(g.observable_names)
+            keep = {n for n in g.names if n in obs or g.descendants([n]) & obs}
+            want = CausalGraph(
+                [(n, g.is_observable(n)) for n in g.names if n in keep],
+                [(p, c) for p, c in g.edges if p in keep and c in keep],
+            )
+            assert g.remove_barren_latents() == want
+            dropped += len(keep) < len(g)
+        assert dropped
 
 
 class TestTopoOrder:

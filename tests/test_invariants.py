@@ -7,6 +7,7 @@ import pytest
 
 from causalid.docalc import Derivation, DoSentence, derive_effect, verify_derivation
 from causalid.expr import JointMarginal, One, free_vars, iter_leaves
+from causalid.graph import CausalGraph
 from causalid.ident import causal_effect
 from causalid.oracle import (
     DoEvaluator,
@@ -175,3 +176,69 @@ class TestDerivationKindCoverage:
         rep = check_estimand(res.estimand, g_frontdoor, ["X"], ["Y"],
                              trials=10, seed=0, arity=3)
         assert rep.all_passed
+
+
+def sparse_latent_graph(rng, n_obs=20, window=3, latent_children=2):
+    """A sparse latent DAG: observables ``V0..`` in topological order, each
+    with one observed parent among the ``window`` before it; ``n_obs // 4``
+    latent roots with ``latent_children`` observable children each; and one
+    barren latent ``B`` below ``V0``."""
+    obs = [f"V{i}" for i in range(n_obs)]
+    lat = [f"L{i}" for i in range(n_obs // 4)]
+    edges = {(obs[int(rng.integers(max(0, j - window), j))], obs[j]) for j in range(1, n_obs)}
+    for u in lat:
+        edges.update((u, obs[int(c)]) for c in rng.choice(n_obs, latent_children, replace=False))
+    edges.add(("V0", "B"))
+    return CausalGraph.build(obs, lat + ["B"], sorted(edges))
+
+
+class TestNoGraphBuilds:
+    """Scoped structure questions are walks on the parsed graph: identifying
+    and deriving an effect builds no graph beyond barren-latent removal."""
+
+    @staticmethod
+    def builds(monkeypatch, run) -> int:
+        """``CausalGraph`` constructions during ``run()`` outside
+        ``remove_barren_latents``."""
+        count, inside = [0], [0]
+        init, remove = CausalGraph.__init__, CausalGraph.remove_barren_latents
+
+        def counted_init(self, *args, **kwargs):
+            count[0] += not inside[0]
+            init(self, *args, **kwargs)
+
+        def exempt_remove(self):
+            inside[0] += 1
+            try:
+                return remove(self)
+            finally:
+                inside[0] -= 1
+
+        with monkeypatch.context() as m:
+            m.setattr(CausalGraph, "__init__", counted_init)
+            m.setattr(CausalGraph, "remove_barren_latents", exempt_remove)
+            run()
+        return count[0]
+
+    def test_frontdoor(self, g_frontdoor, monkeypatch):
+        def run():
+            assert isinstance(derive_effect({"X"}, {"Y"}, g_frontdoor), Derivation)
+            assert causal_effect({"X"}, {"Y"}, g_frontdoor).identifiable
+
+        assert self.builds(monkeypatch, run) == 0
+
+    def test_sparse_latent_dag(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        g = sparse_latent_graph(rng)
+        queries = [({f"V{int(rng.integers(0, 10))}"}, {f"V{int(rng.integers(10, 20))}"})
+                   for _ in range(6)]
+        assert len(g.remove_barren_latents()) < len(g)
+        results = []
+
+        def run():
+            for t, s in queries:
+                results.append(isinstance(derive_effect(t, s, g), Derivation))
+                assert causal_effect(t, s, g).identifiable == results[-1]
+
+        assert self.builds(monkeypatch, run) == 0
+        assert any(results)

@@ -201,6 +201,13 @@ class TestCheckEstimand:
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
             check_estimand(JointMarginal({"Y"}), g_chain, ["X"], ["Y"], trials=0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, g_chain, tolerance):
+        # err > nan and err > inf are never true, so either would pass
+        # every estimand; a negative tolerance fails every one.
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            check_estimand(JointMarginal({"Y"}), g_chain, ["X"], ["Y"], tolerance=tolerance)
+
 
 class TestWitnessSearch:
     def test_bow_witness_found(self, g_bow):
@@ -269,6 +276,14 @@ class TestCiCheck:
         m = random_model(g_chain, seed=9)
         q = SeparationQuery(frozenset({"X"}), frozenset({"Y"}), frozenset({"Z"}), g_chain)
         assert ci_check(m, q)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, g_chain, tolerance):
+        # A NaN tolerance reported every independence as a dependence.
+        m = random_model(g_chain, seed=9)
+        q = SeparationQuery(frozenset({"X"}), frozenset({"Y"}), frozenset({"Z"}), g_chain)
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            ci_check(m, q, tolerance=tolerance)
 
     def test_collider_dependence(self, g_collider):
         m = random_model(g_collider, seed=9)
