@@ -25,6 +25,7 @@ reads format 2 only; any other version, or a malformed file, exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -110,10 +111,9 @@ def _cmd_derive(args) -> int:
         _emit({"identifiable": False, "witness": _pair_json(g, d.witness)}, args.json,
               "not identifiable")
         return EXIT_NOT_IDENTIFIABLE
-    data = derivation_to_json(d)
     if args.out:
         Path(args.out).write_text(
-            json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+            json.dumps(derivation_to_json(d), sort_keys=True, separators=(",", ":")) + "\n"
         )
     final = d.final
     _emit(
@@ -309,10 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built once."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if not exc.code:  # --help
             raise

@@ -13,11 +13,20 @@ that subexpression before and after, the same in memory as in a derivation
 file.  A derivation holds its initial expression, and every later state is
 a replay of the steps from it.
 
-The verifier trusts nothing from the generator: it replays the steps and
-requires each to rewrite the subexpression its path reaches, narrows each
-rewrite to its changed subexpression by diffing, rebuilds the claimed rule
-instances from the leaves and re-runs their separation tests on the graph
-with each rule's edge cuts applied, re-checks the structural schemas, and
+The generator writes every step through one small vocabulary of named
+rewrites, each of which reads the sentence at a path and computes the new
+subexpression and its justification: chain-rule ``split``, ``merge`` and
+``quotient``, normalize-to-one ``introduce`` and ``collapse``, and the
+rule-2 and rule-3 moves; the query's first marginalization and the factor
+substitutions are the only steps written by hand.
+
+The verifier trusts nothing from the generator and shares no code with its
+rewrites: it replays the steps and requires each to rewrite the
+subexpression its path reaches, narrows each rewrite to its changed
+subexpression by diffing, rebuilds the claimed rule instances from the
+leaves and re-runs their separation tests on the graph with each rule's
+edge cuts applied, checks each structural step against the schema of its
+kind and direction in the orientation that the direction names, and
 spot-checks each step numerically on random positive models through the
 oracle's interventional-sentence evaluator.
 """
@@ -31,6 +40,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .expr import (
+    DoSentence,
     One,
     PositivityError,
     Product,
@@ -39,6 +49,7 @@ from .expr import (
     expr_from_json,
     expr_to_json,
     free_vars,
+    iter_leaves,
 )
 from .graph import CausalGraph, GraphError, json_field, json_names
 from .ident import (
@@ -69,45 +80,6 @@ CHAIN = "ChainRule"
 MARGINALIZE = "Marginalize"
 NORMALIZE = "NormalizeToOne"
 SUBSTITUTE = "FactorSubstitute"
-
-
-@dataclass(frozen=True)
-class DoSentence:
-    """An interventional sentence P(outcome | do(interventions), observations).
-
-    The three sets are pairwise disjoint and observable.  A sentence with an
-    empty intervention set is an ordinary observational conditional."""
-
-    outcome: frozenset[str]
-    do: frozenset[str]
-    given: frozenset[str]
-
-    def __post_init__(self):
-        for name in ("outcome", "do", "given"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        if (self.outcome & self.do) or (self.outcome & self.given) or (self.do & self.given):
-            raise GraphError("sentence parts must be pairwise disjoint")
-
-    @property
-    def leaf_vars(self) -> frozenset[str]:
-        return self.outcome | self.do | self.given
-
-    def render(self, symbols: Mapping[str, str]) -> str:
-        out = ", ".join(symbols[v] for v in sorted(self.outcome))
-        conds = []
-        if self.do:
-            conds.append("do(" + ", ".join(symbols[v] for v in sorted(self.do)) + ")")
-        if self.given:
-            conds.append(", ".join(symbols[v] for v in sorted(self.given)))
-        return f"P({out} | {', '.join(conds)})" if conds else f"P({out})"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "sentence",
-            "outcome": sorted(self.outcome),
-            "do": sorted(self.do),
-            "given": sorted(self.given),
-        }
 
 
 DoExpr = DoSentence | One | Sum | Product | Quotient
@@ -173,8 +145,6 @@ class Verdict:
 
 
 def observational(e: DoExpr) -> bool:
-    from .expr import iter_leaves
-
     return all(
         isinstance(leaf, DoSentence) and not leaf.do for leaf in iter_leaves(e)
     )
@@ -225,8 +195,22 @@ def _replace(e: DoExpr, path: Path, new: DoExpr) -> DoExpr:
     return Product(factors)
 
 
+def _normalize_product(factors: list) -> DoExpr:
+    if not factors:
+        return One()
+    if len(factors) == 1:
+        return factors[0]
+    return Product(factors)
+
+
 class _Writer:
-    """Accumulates rewrite steps against a live expression state."""
+    """Accumulates rewrite steps against a live expression state.
+
+    Each named rewrite (:meth:`split`, :meth:`merge`, :meth:`ratio`,
+    :meth:`introduce`, :meth:`collapse`, :meth:`rule2`, :meth:`rule3`) reads
+    the subexpression at ``path`` and computes both its replacement and the
+    justification of the step; ``kind`` and ``direction`` of each step name
+    the rewrite that wrote it."""
 
     def __init__(self, graph: CausalGraph, root: DoExpr):
         self.graph = graph
@@ -258,6 +242,70 @@ class _Writer:
     def at(self, path: Path) -> DoExpr:
         return _get(self.state, path)
 
+    def split(self, path: Path, x: str):
+        """Chain split: P(S | do, w) -> P(x | do, w, S-x) · P(S-x | do, w)."""
+        e = self.at(path)
+        rest = e.outcome - {x}
+        self.apply(CHAIN, path, Product([
+            DoSentence(frozenset({x}), e.do, e.given | rest),
+            DoSentence(rest, e.do, e.given),
+        ]), StepParams(vars=rest, direction="split"))
+
+    def merge(self, path: Path, i: int, j: int):
+        """Chain merge of the factors P(A | do, w, B) at ``i`` and
+        P(B | do, w) at ``j`` of the product at ``path`` into P(A∪B | do, w)
+        at ``i``."""
+        factors = list(self.at(path).factors)
+        a, b = factors[i], factors[j]
+        factors[i] = DoSentence(a.outcome | b.outcome, b.do, b.given)
+        del factors[j]
+        self.apply(CHAIN, path, _normalize_product(factors),
+                   StepParams(vars=b.outcome, direction="merge"))
+
+    def ratio(self, path: Path, b: frozenset[str]):
+        """Chain rule as a ratio: P(A | do, w, B) -> P(A∪B | do, w) / P(B | do, w)."""
+        e = self.at(path)
+        w = e.given - b
+        self.apply(CHAIN, path, Quotient(DoSentence(e.outcome | b, e.do, w),
+                                         DoSentence(b, e.do, w)),
+                   StepParams(vars=b, direction="quotient"))
+
+    def introduce(self, path: Path, x: str):
+        """Normalize to one: P(S | do, w) -> Σ_x P(x | do, w, S) · P(S | do, w)."""
+        e = self.at(path)
+        phi = DoSentence(frozenset({x}), e.do, e.given | e.outcome)
+        self.apply(NORMALIZE, path, Sum(frozenset({x}), Product([phi, e])),
+                   StepParams(vars=frozenset({x}), direction="introduce"))
+
+    def collapse(self, path: Path, x: str) -> Path:
+        """Normalize to one: drop ``x`` from the bound of the sum at ``path``
+        and its conditional, the first factor, from the sum's body.
+        Returns the path of what is left of the body."""
+        node = self.at(path)
+        rest = _normalize_product(list(node.body.factors[1:]))
+        bound = node.bound - {x}
+        self.apply(NORMALIZE, path, Sum(bound, rest) if bound else rest,
+                   StepParams(vars=frozenset({x}), direction="collapse"))
+        return path + ("body",) if bound else path
+
+    def rule2(self, path: Path, z: frozenset[str]):
+        """Rule 2: exchange the actions on ``z`` for observations of ``z``
+        in the sentence at ``path``, or the observations for actions."""
+        e = self.at(path)
+        x, w = e.do - z, e.given - z
+        do, given = (x, w | z) if z <= e.do else (x | z, w)
+        self.apply(RULE2, path, DoSentence(e.outcome, do, given),
+                   rule_applicable(RuleInstance(2, x, e.outcome, z, w, self.graph)))
+
+    def rule3(self, path: Path, v: str):
+        """Rule 3: insert the action on ``v`` into the sentence at ``path``,
+        or delete it."""
+        e = self.at(path)
+        x = e.do - {v}
+        after = DoSentence(e.outcome, x if v in e.do else e.do | {v}, e.given)
+        self.apply(RULE3, path, after, rule_applicable(
+            RuleInstance(3, x, e.outcome, frozenset({v}), e.given, self.graph)))
+
 
 # -- schedule emitters -----------------------------------------------------------
 
@@ -267,84 +315,39 @@ def _q_sentence(g: CausalGraph, scope: frozenset[str]) -> DoSentence:
     return DoSentence(outcome=scope, do=n - scope, given=frozenset())
 
 
-def _rule(g: CausalGraph, rule: int, x, y, z, w) -> RuleEvidence:
-    ev = rule_applicable(
-        RuleInstance(rule, frozenset(x), frozenset(y), frozenset(z), frozenset(w), g)
-    )
-    return ev
-
-
 def _emit_grouped_factorization(
     w: _Writer, scope: frozenset[str], groups: list[frozenset[str]], path: Path
 ):
     """Rewrite the factor sentence on ``scope`` into a product of factor
     sentences, one per group (each group a union of confounded components of
     the scope's latent subgraph)."""
-    g = w.graph
     if len(groups) <= 1:
         return
-    n = frozenset(g.observable_names)
-    order = g.topo_order(scope)
-    x = order[-1]
-    h = scope - {x}
+    x = w.graph.topo_order(scope)[-1]
     gx = next(grp for grp in groups if x in grp)
     others = [grp for grp in groups if grp is not gx]
     gx_rest = gx - {x}
-    others_union = frozenset().union(*others)
 
     # Peel the topologically last variable off the joint factor.
-    w.apply(
-        CHAIN,
-        path,
-        Product([
-            DoSentence(frozenset({x}), n - scope, h),
-            DoSentence(h, n - scope, frozenset()),
-        ]),
-        StepParams(vars=h, direction="split"),
-    )
+    w.split(path, x)
     # Its own factor only needs the variables of its group as observations;
     # the other groups can be held fixed instead.
-    w.apply(
-        RULE2,
-        path + (0,),
-        DoSentence(frozenset({x}), (n - scope) | others_union, gx_rest),
-        _rule(g, 2, x=n - scope, y={x}, z=others_union, w=gx_rest),
-    )
+    w.rule2(path + (0,), frozenset().union(*others))
     # The remainder is unaffected by intervening on the last variable.
-    w.apply(
-        RULE3,
-        path + (1,),
-        _q_sentence(g, h),
-        _rule(g, 3, x=n - scope, y=h, z={x}, w=()),
-    )
+    w.rule3(path + (1,), x)
 
     sub_groups = ([gx_rest] if gx_rest else []) + others
     if len(sub_groups) >= 2:
-        final, nested = _grouped_factorization_derivation(g, h, sub_groups)
+        final, nested = _grouped_factorization_derivation(w.graph, scope - {x}, sub_groups)
         new_factors = final.factors if isinstance(final, Product) else (final,)
         w.window(SUBSTITUTE, path, 1, 2, tuple(new_factors), Substitution(nested))
 
     if gx_rest:
         # Reattach the last variable to its own group's factor, wherever the
         # recursion left that factor in the product.
-        node = w.at(path)
-        idx = node.factors.index(_q_sentence(g, gx_rest))
-        w.apply(
-            RULE3,
-            path + (idx,),
-            DoSentence(gx_rest, n - gx, frozenset()),
-            _rule(g, 3, x=n - gx, y=gx_rest, z={x}, w=()),
-        )
-        node = w.at(path)
-        merged = [_q_sentence(g, gx)] + [
-            f for i, f in enumerate(node.factors) if i not in (0, idx)
-        ]
-        w.apply(
-            CHAIN,
-            path,
-            _normalize_product(merged),
-            StepParams(vars=gx_rest, direction="merge"),
-        )
+        idx = w.at(path).factors.index(_q_sentence(w.graph, gx_rest))
+        w.rule3(path + (idx,), x)
+        w.merge(path, 0, idx)
 
 
 def _grouped_factorization_derivation(
@@ -356,182 +359,67 @@ def _grouped_factorization_derivation(
     return w.state, w.derivation()
 
 
-def _emit_peel(w: _Writer, sum_path: Path, scope: frozenset[str], x: str) -> Path:
-    """One forward ancestral reduction: consume the bound variable ``x``
-    (topologically last in ``scope``) from the sum around the factor
-    sentence on ``scope``.  Returns the path of the reduced sentence."""
-    g = w.graph
-    n = frozenset(g.observable_names)
-    node = w.at(sum_path)
-    body_path = sum_path + ("body",)
-    rest = scope - {x}
-    w.apply(
-        CHAIN,
-        body_path,
-        Product([
-            DoSentence(frozenset({x}), n - scope, rest),
-            DoSentence(rest, n - scope, frozenset()),
-        ]),
-        StepParams(vars=rest, direction="split"),
-    )
-    new_bound = node.bound - {x}
-    remainder = DoSentence(rest, n - scope, frozenset())
-    after = Sum(new_bound, remainder) if new_bound else remainder
-    w.apply(NORMALIZE, sum_path, after, StepParams(vars=frozenset({x}), direction="collapse"))
-    leaf_path = sum_path + ("body",) if new_bound else sum_path
-    w.apply(
-        RULE3,
-        leaf_path,
-        _q_sentence(g, rest),
-        _rule(g, 3, x=n - scope, y=rest, z={x}, w=()),
-    )
-    return leaf_path
-
-
 def _emit_expand(w: _Writer, path: Path, scope: frozenset[str],
                  start: frozenset[str]) -> Path:
     """Reverse ancestral reduction: grow the factor sentence on ``start``
     into a nest of sums of the factor sentence on ``scope``.  Returns the
     path of the scope sentence."""
-    g = w.graph
-    n = frozenset(g.observable_names)
-    add = [v for v in g.topo_order(scope) if v not in start]
-    cur = start
-    cur_path = path
-    for x in add:
-        grown = cur | {x}
-        # Holding x fixed changes nothing for the sentence on cur.
-        w.apply(
-            RULE3,
-            cur_path,
-            DoSentence(cur, n - grown, frozenset()),
-            _rule(g, 3, x=n - grown, y=cur, z={x}, w=()),
-        )
-        # Multiply by a conditional that sums to one and fold it in.
-        phi = DoSentence(frozenset({x}), n - grown, cur)
-        body = Product([phi, DoSentence(cur, n - grown, frozenset())])
-        w.apply(
-            NORMALIZE,
-            cur_path,
-            Sum(frozenset({x}), body),
-            StepParams(vars=frozenset({x}), direction="introduce"),
-        )
-        w.apply(
-            CHAIN,
-            cur_path + ("body",),
-            _q_sentence(g, grown),
-            StepParams(vars=cur, direction="merge"),
-        )
-        cur = grown
-        cur_path = cur_path + ("body",)
-    return cur_path
+    for x in w.graph.topo_order(scope):
+        if x in start:
+            continue
+        # Holding x fixed changes nothing for the sentence at path; then
+        # multiply by a conditional of x that sums to one and fold it in.
+        w.rule3(path, x)
+        w.introduce(path, x)
+        path = path + ("body",)
+        w.merge(path, 0, 1)
+    return path
 
 
 def _emit_block_to_prefixes(
-    w: _Writer,
-    scope: frozenset[str],
-    block: frozenset[str],
-    path: Path,
-    found: list,
-    prefix_plan,
-):
+    w: _Writer, scope: frozenset[str], block: frozenset[str], path: Path
+) -> list[Path]:
     """Rewrite the factor sentence on ``block`` (one confounded component of
     ``scope``) into quotients of factor sentences on topological prefixes of
-    ``scope``.  Each prefix-sentence leaf is appended to ``found`` together
-    with ``prefix_plan`` for the caller's worklist."""
+    ``scope``.  Returns the paths of the prefix sentences."""
     g = w.graph
-    n = frozenset(g.observable_names)
     if len(scope) == 1:
         # The block is the one-variable prefix itself.
-        found.append((path, prefix_plan))
-        return
-    order = g.topo_order(scope)
-    x = order[-1]
+        return [path]
+    x = g.topo_order(scope)[-1]
     h = scope - {x}
     if x not in block:
-        _emit_block_to_prefixes(w, h, block, path, found, prefix_plan)
-        return
+        return _emit_block_to_prefixes(w, h, block, path)
 
     b_rest = block - {x}
     if b_rest:
-        w.apply(
-            CHAIN,
-            path,
-            Product([
-                DoSentence(frozenset({x}), n - block, b_rest),
-                DoSentence(b_rest, n - block, frozenset()),
-            ]),
-            StepParams(vars=b_rest, direction="split"),
-        )
+        w.split(path, x)
         first, second = path + (0,), path + (1,)
     else:
         first, second = path, None
-
-    moved = scope - block
-    if moved:
-        w.apply(
-            RULE2,
-            first,
-            DoSentence(frozenset({x}), n - scope, h),
-            _rule(g, 2, x=n - scope, y={x}, z=moved, w=b_rest),
-        )
+    if scope - block:
+        w.rule2(first, scope - block)
     # Conditional as a ratio of the two adjacent prefix factors.
-    num = _q_sentence(g, scope)
-    den_raw = DoSentence(h, n - scope, frozenset())
-    w.apply(
-        CHAIN,
-        first,
-        Quotient(num, den_raw),
-        StepParams(vars=h, direction="quotient"),
-    )
-    found.append((first + ("num",), prefix_plan))
-    den_path = first + ("den",)
-    den = _q_sentence(g, h)
-    w.apply(RULE3, den_path, den, _rule(g, 3, x=n - scope, y=h, z={x}, w=()))
-    found.append((den_path, prefix_plan))
+    w.ratio(first, h)
+    w.rule3(first + ("den",), x)
+    leaves = [first + ("num",), first + ("den",)]
+    if second is None:
+        return leaves
 
-    if second is not None:
-        q_rest = _q_sentence(g, b_rest)
-        w.apply(
-            RULE3,
-            second,
-            q_rest,
-            _rule(g, 3, x=n - block, y=b_rest, z={x}, w=()),
-        )
-        sub_blocks = [b for b in _observable_components(g, h) if b <= b_rest]
-        assert frozenset().union(*sub_blocks) == b_rest
-        if len(sub_blocks) == 1:
-            _emit_block_to_prefixes(w, h, b_rest, second, found, prefix_plan)
-        else:
-            final, nested = _grouped_factorization_derivation(g, b_rest, sub_blocks)
-            w.apply(SUBSTITUTE, second, final, Substitution(nested))
-            for i, factor in enumerate(final.factors):
-                sub = next(b for b in sub_blocks if _q_sentence(g, b) == factor)
-                _emit_block_to_prefixes(
-                    w, h, sub, second + (i,), found, prefix_plan
-                )
+    w.rule3(second, x)
+    sub_blocks = [b for b in _observable_components(g, h) if b <= b_rest]
+    assert frozenset().union(*sub_blocks) == b_rest
+    if len(sub_blocks) == 1:
+        return leaves + _emit_block_to_prefixes(w, h, b_rest, second)
+    final, nested = _grouped_factorization_derivation(g, b_rest, sub_blocks)
+    w.apply(SUBSTITUTE, second, final, Substitution(nested))
+    for i, factor in enumerate(final.factors):
+        sub = next(b for b in sub_blocks if _q_sentence(g, b) == factor)
+        leaves += _emit_block_to_prefixes(w, h, sub, second + (i,))
+    return leaves
 
 
 # -- generator --------------------------------------------------------------------
-
-
-def _find_pending(e: DoExpr, path: Path = ()) -> tuple[Path, DoSentence] | None:
-    """First (depth-first) interventional sentence leaf."""
-    if isinstance(e, DoSentence):
-        return (path, e) if e.do else None
-    if isinstance(e, Sum):
-        return _find_pending(e.body, path + ("body",))
-    if isinstance(e, Product):
-        for i, f in enumerate(e.factors):
-            found = _find_pending(f, path + (i,))
-            if found:
-                return found
-        return None
-    if isinstance(e, Quotient):
-        return _find_pending(e.num, path + ("num",)) or _find_pending(
-            e.den, path + ("den",)
-        )
-    return None
 
 
 @dataclass(frozen=True)
@@ -589,11 +477,8 @@ class _Reducer:
         if isinstance(plan, _LevelPlan):
             tr, k = plan.tr, plan.k
             dec_scope = n if k == 0 else tr.levels[k - 1][1]
-            found: list[tuple[Path, object]] = []
-            _emit_block_to_prefixes(
-                wr, dec_scope, tr.levels[k][0], path, found, _PrefixPlan(tr, k)
-            )
-            return found
+            leaves = _emit_block_to_prefixes(wr, dec_scope, tr.levels[k][0], path)
+            return [(leaf, _PrefixPlan(tr, k)) for leaf in leaves]
         if isinstance(plan, _PrefixPlan):
             tr, k = plan.tr, plan.k
             dec_scope = n if k == 0 else tr.levels[k - 1][1]
@@ -665,20 +550,16 @@ def derive_effect(
             Sum(big - s, DoSentence(big, t, frozenset())),
             StepParams(vars=big - s, direction="introduce"),
         )
-    # Phase B: shrink to the ancestral closure of the outcome, peeling the
-    # topologically last surplus variable each time.
-    surplus = sorted(big - trace.d, key=g2.topo_order(big).index)
-    scope = big
-    sum_path: Path = ()
-    for x in reversed(surplus):
-        _emit_peel(w, sum_path, scope, x)
-        scope = scope - {x}
+    # Phase B: shrink to the ancestral closure of the outcome, consuming
+    # the topologically last surplus variable from the sum each time.  The
+    # bound left is d - s; the factor sentence on d is the sum's body, or
+    # the whole state once the bound is empty.
+    for x in reversed(sorted(big - trace.d, key=g2.topo_order(big).index)):
+        w.split(("body",), x)
+        w.rule3(w.collapse((), x), x)
+    leaf: Path = ("body",) if trace.d - s else ()
     # Phase C: split the closure factor into its confounded components.
-    d_blocks = list(trace.cq.s_blocks)
-    q_d = _q_sentence(g2, trace.d)
-    pending = _find_pending(w.state)
-    if pending is not None and pending[1] == q_d and len(d_blocks) >= 2:
-        _emit_grouped_factorization(w, trace.d, d_blocks, pending[0])
+    _emit_grouped_factorization(w, trace.d, list(trace.cq.s_blocks), leaf)
 
     # Phase D: reduce each component factor through its identification
     # chain, sharing one fragment per distinct sentence and plan.
@@ -686,16 +567,10 @@ def derive_effect(
         _q_sentence(g2, sb): _IdentPlan(tr)
         for sb, tr in zip(trace.cq.s_blocks, trace.cq.identify_traces)
     }
-    reducer = _Reducer(g2)
-    while True:
-        pending = _find_pending(w.state)
-        if pending is None:
-            break
-        path, sentence = pending
-        plan = plan_of.get(sentence)
-        if plan is None:
-            raise GraphError(f"internal error: unplanned sentence {sentence}")
-        reducer.reduce_items(w, [(path, plan)])
+    node = w.at(leaf)
+    paths = ([leaf + (i,) for i in range(len(node.factors))]
+             if isinstance(node, Product) else [leaf])
+    _Reducer(g2).reduce_items(w, [(p, plan_of[w.at(p)]) for p in paths])
     return w.derivation(query=(t, s))
 
 
@@ -720,14 +595,6 @@ def expand_rule1(r: RuleInstance) -> tuple[RuleInstance, RuleInstance]:
 
 class _Mismatch(Exception):
     pass
-
-
-def _normalize_product(factors: list) -> DoExpr:
-    if not factors:
-        return One()
-    if len(factors) == 1:
-        return factors[0]
-    return Product(factors)
 
 
 def _local_diff(b: DoExpr, a: DoExpr) -> tuple[DoExpr, DoExpr] | None:
@@ -824,87 +691,85 @@ def _check_rule_step(step: DerivationStep, graph: CausalGraph,
         raise _Mismatch("claimed edge cuts or verdict differ from the recomputed test")
 
 
-def _check_chain(site: tuple[DoExpr, DoExpr], params: StepParams) -> None:
-    b, a = site
-    for lhs, rhs in ((b, a), (a, b)):
-        # split form: P(A∪B | do, w) == P(A | do, w∪B) · P(B | do, w)
-        if isinstance(lhs, DoSentence) and isinstance(rhs, Product) and len(rhs.factors) == 2:
-            for f1, f2 in (rhs.factors, rhs.factors[::-1]):
-                if not (isinstance(f1, DoSentence) and isinstance(f2, DoSentence)):
-                    continue
-                split = params.vars
-                if (
-                    f2.outcome == split
-                    and f1.outcome == lhs.outcome - split
-                    and f1.outcome
-                    and lhs.outcome == f1.outcome | f2.outcome
-                    and f1.do == f2.do == lhs.do
-                    and f1.given == lhs.given | split
-                    and f2.given == lhs.given
-                ):
-                    return
-        # quotient form: P(A | do, w∪B) == P(A∪B | do, w) / P(B | do, w)
-        if isinstance(lhs, DoSentence) and isinstance(rhs, Quotient):
-            num, den = rhs.num, rhs.den
-            if isinstance(num, DoSentence) and isinstance(den, DoSentence):
-                split = params.vars
-                if (
-                    den.outcome == split
-                    and lhs.given == den.given | split
-                    and num.outcome == lhs.outcome | split
-                    and num.given == den.given
-                    and num.do == den.do == lhs.do
-                ):
-                    return
-    raise _Mismatch("not a chain-rule split, merge, or ratio")
+def _chain_split(whole: DoExpr, parts: DoExpr, b: frozenset[str]) -> bool:
+    """P(A∪B | do, w) == P(A | do, w∪B) · P(B | do, w), the factors in
+    either order."""
+    if not (isinstance(whole, DoSentence) and isinstance(parts, Product)
+            and len(parts.factors) == 2):
+        return False
+    return any(
+        isinstance(f1, DoSentence) and isinstance(f2, DoSentence)
+        and f2.outcome == b
+        and f1.outcome == whole.outcome - b
+        and f1.outcome
+        and whole.outcome == f1.outcome | f2.outcome
+        and f1.do == f2.do == whole.do
+        and f1.given == whole.given | b
+        and f2.given == whole.given
+        for f1, f2 in (parts.factors, parts.factors[::-1])
+    )
 
 
-def _check_marginalize(site: tuple[DoExpr, DoExpr], params: StepParams) -> None:
-    for lhs, rhs in ((site[0], site[1]), (site[1], site[0])):
-        b_bound, b_body = _as_sum(lhs)
-        a_bound, a_body = _as_sum(rhs)
-        m = b_bound - a_bound
-        if not m or a_bound - b_bound:
-            continue
-        if not (isinstance(b_body, DoSentence) and isinstance(a_body, DoSentence)):
-            continue
-        if (
-            m == params.vars
-            and b_body.outcome == a_body.outcome | m
-            and not (m & a_body.leaf_vars)
-            and b_body.do == a_body.do
-            and b_body.given == a_body.given
-        ):
-            return
-    raise _Mismatch("not a marginalization")
+def _chain_ratio(cond: DoExpr, ratio: DoExpr, b: frozenset[str]) -> bool:
+    """P(A | do, w∪B) == P(A∪B | do, w) / P(B | do, w)."""
+    if not (isinstance(cond, DoSentence) and isinstance(ratio, Quotient)):
+        return False
+    num, den = ratio.num, ratio.den
+    return (
+        isinstance(num, DoSentence) and isinstance(den, DoSentence)
+        and den.outcome == b
+        and cond.given == den.given | b
+        and num.outcome == cond.outcome | b
+        and num.given == den.given
+        and num.do == den.do == cond.do
+    )
 
 
-def _check_normalize(site: tuple[DoExpr, DoExpr], params: StepParams) -> None:
-    for lhs, rhs in ((site[0], site[1]), (site[1], site[0])):
-        b_bound, b_body = _as_sum(lhs)
-        a_bound, a_body = _as_sum(rhs)
-        m = b_bound - a_bound
-        if not m or a_bound - b_bound or m != params.vars:
-            continue
-        b_factors = _as_factors(b_body)
-        phis = [
-            f
-            for f in b_factors
-            if isinstance(f, DoSentence) and f.outcome == m
-        ]
-        if not phis:
-            continue
-        rest = list(b_factors)
-        rest.remove(phis[0])
-        rest_e = _normalize_product(rest)
-        if m & free_vars(rest_e):
-            continue
-        if rest_e == a_body or rest == _as_factors(a_body):
-            return
-    raise _Mismatch("not a normalize-to-one move")
+def _marginal(summed: DoExpr, marginal: DoExpr, m: frozenset[str]) -> bool:
+    """Σ_M P(A∪M | do, w) == P(A | do, w), inside sums over equal bounds."""
+    s_bound, s_body = _as_sum(summed)
+    m_bound, m_body = _as_sum(marginal)
+    return (
+        bool(m)
+        and s_bound - m_bound == m
+        and not (m_bound - s_bound)
+        and isinstance(s_body, DoSentence) and isinstance(m_body, DoSentence)
+        and s_body.outcome == m_body.outcome | m
+        and not (m & m_body.leaf_vars)
+        and s_body.do == m_body.do
+        and s_body.given == m_body.given
+    )
 
 
-_SCHEMAS = {CHAIN: _check_chain, MARGINALIZE: _check_marginalize, NORMALIZE: _check_normalize}
+def _normalized(summed: DoExpr, rest: DoExpr, m: frozenset[str]) -> bool:
+    """Σ_M P(M | ...) · R == R for every R free of M."""
+    s_bound, s_body = _as_sum(summed)
+    r_bound, r_body = _as_sum(rest)
+    if not m or s_bound - r_bound != m or r_bound - s_bound:
+        return False
+    factors = _as_factors(s_body)
+    phi = next((f for f in factors if isinstance(f, DoSentence) and f.outcome == m), None)
+    if phi is None:
+        return False
+    factors.remove(phi)
+    rest_e = _normalize_product(factors)
+    return not (m & free_vars(rest_e)) and (
+        rest_e == r_body or factors == _as_factors(r_body)
+    )
+
+
+# The structural schemas by step kind and direction.  Each schema relates a
+# left side to a right side; a forward direction rewrites the left side
+# into the right one, a backward direction the right side into the left.
+_SCHEMAS = {
+    (CHAIN, "split"): (_chain_split, True),
+    (CHAIN, "merge"): (_chain_split, False),
+    (CHAIN, "quotient"): (_chain_ratio, True),
+    (MARGINALIZE, "collapse"): (_marginal, True),
+    (MARGINALIZE, "introduce"): (_marginal, False),
+    (NORMALIZE, "collapse"): (_normalized, True),
+    (NORMALIZE, "introduce"): (_normalized, False),
+}
 
 
 def _same(p: DoExpr, q: DoExpr) -> bool:
@@ -938,10 +803,17 @@ def _check_step(step: DerivationStep, graph: CausalGraph,
         raise _Mismatch("step changes nothing")
     if step.kind in (RULE2, RULE3):
         _check_rule_step(step, graph, site)
-    elif step.kind in _SCHEMAS:
-        if not isinstance(step.justification, StepParams):
+    elif step.kind in (CHAIN, MARGINALIZE, NORMALIZE):
+        params = step.justification
+        if not isinstance(params, StepParams):
             raise _Mismatch("missing structural parameters")
-        _SCHEMAS[step.kind](site, step.justification)
+        schema = _SCHEMAS.get((step.kind, params.direction))
+        if schema is None:
+            raise _Mismatch(f"unknown direction {params.direction!r} of a {step.kind} step")
+        holds, forward = schema
+        lhs, rhs = site if forward else site[::-1]
+        if not holds(lhs, rhs, params.vars):
+            raise _Mismatch(f"not a {step.kind} step in the {params.direction} direction")
     elif step.kind == SUBSTITUTE:
         just = step.justification
         if not isinstance(just, Substitution):

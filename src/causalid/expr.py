@@ -10,9 +10,9 @@ Nested sums may rebind a variable that is free (or bound) further out; the
 semantics is lexical, with the innermost binding winning.  The pretty
 printer disambiguates such shadowed variables with primes, e.g. ``x'``.
 
-The same interior node classes are reused by the derivation machinery with
-interventional sentences at the leaves; the walkers here treat any non-``One``
-leaf through its ``leaf_vars`` attribute.
+The derivation machinery reuses the same interior node classes with
+interventional sentences (:class:`DoSentence`) at the leaves; the walkers
+here treat any non-``One`` leaf through its ``leaf_vars`` attribute.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import json_field, json_names
+from .graph import GraphError, json_field, json_names
 from .tables import JointTable
 
 __all__ = [
     "One",
     "JointMarginal",
+    "DoSentence",
     "Sum",
     "Product",
     "Quotient",
@@ -76,6 +77,28 @@ class JointMarginal:
     @property
     def leaf_vars(self) -> frozenset[str]:
         return self.vars
+
+
+@dataclass(frozen=True)
+class DoSentence:
+    """An interventional sentence P(outcome | do(interventions), observations).
+
+    The three sets are pairwise disjoint and observable.  A sentence with an
+    empty intervention set is an ordinary observational conditional."""
+
+    outcome: frozenset[str]
+    do: frozenset[str]
+    given: frozenset[str]
+
+    def __post_init__(self):
+        for name in ("outcome", "do", "given"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        if (self.outcome & self.do) or (self.outcome & self.given) or (self.do & self.given):
+            raise GraphError("sentence parts must be pairwise disjoint")
+
+    @property
+    def leaf_vars(self) -> frozenset[str]:
+        return self.outcome | self.do | self.given
 
 
 @dataclass(frozen=True)
@@ -300,7 +323,14 @@ def expr_to_json(e) -> dict:
         return {"kind": "product", "factors": [expr_to_json(f) for f in e.factors]}
     if isinstance(e, Quotient):
         return {"kind": "quotient", "num": expr_to_json(e.num), "den": expr_to_json(e.den)}
-    return e.to_json()
+    if isinstance(e, DoSentence):
+        return {
+            "kind": "sentence",
+            "outcome": sorted(e.outcome),
+            "do": sorted(e.do),
+            "given": sorted(e.given),
+        }
+    raise TypeError(f"cannot encode {e!r}")
 
 
 def expr_from_json(data: Mapping):
@@ -320,10 +350,6 @@ def expr_from_json(data: Mapping):
             expr_from_json(json_field(data, "den", dict)),
         )
     if kind == "sentence":
-        # Resolved by the derivation module; imported lazily to keep this
-        # module free of that dependency.
-        from .docalc import DoSentence
-
         return DoSentence(
             json_names(data, "outcome"), json_names(data, "do"), json_names(data, "given")
         )
@@ -364,8 +390,14 @@ def _render(e, symbols: dict[str, str]) -> str:
         return "·".join(_wrap(f, symbols) for f in e.factors)
     if isinstance(e, Quotient):
         return _wrap(e.num, symbols) + "/" + _wrap(e.den, symbols)
-    if hasattr(e, "render"):
-        return e.render(symbols)
+    if isinstance(e, DoSentence):
+        out = ", ".join(symbols[v] for v in sorted(e.outcome))
+        conds = []
+        if e.do:
+            conds.append("do(" + ", ".join(symbols[v] for v in sorted(e.do)) + ")")
+        if e.given:
+            conds.append(", ".join(symbols[v] for v in sorted(e.given)))
+        return f"P({out} | {', '.join(conds)})" if conds else f"P({out})"
     return repr(e)
 
 

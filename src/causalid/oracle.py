@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import JointMarginal, PositivityError, _grid, evaluate_grid, free_vars
+from .expr import DoSentence, JointMarginal, PositivityError, _grid, evaluate_grid, free_vars
 from .graph import CausalGraph, GraphError
 from .ident import causal_effect
 from .sep import SeparationQuery
@@ -233,8 +233,6 @@ class DoEvaluator:
         return tab
 
     def _leaf(self, e, env, ndim):
-        from .docalc import DoSentence
-
         if isinstance(e, JointMarginal):
             return self._do_table(frozenset()).placed(e.vars, env, ndim)
         if not isinstance(e, DoSentence):

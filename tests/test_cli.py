@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import causalid
+from causalid import cli
 from causalid.cli import main
 
 from conftest import random_dag
@@ -268,6 +269,35 @@ class TestOracle:
         assert json.loads(capsys.readouterr().out)["found"] is False
 
 
+class TestParserBuiltOnce:
+    def test_one_build_over_many_calls(self, graphs, monkeypatch, capsys):
+        argvs = [
+            ["identify", "--graph", graphs["fd"], "--do", "X", "--on", "Y", "--json"],
+            ["identify", "--graph", graphs["fd"], "--do", "X", "--frobnicate"],
+            ["derive", "--graph", graphs["bow"], "--do", "X", "--on", "Y"],
+            ["ccomp", "--graph", graphs["fd"], "--scope", "Z", "Y"],
+            ["dsep", "--graph", graphs["bd"], "--x", "X", "--y", "Y", "--given", "Z"],
+            ["identify", "--graph", graphs["bd"], "--do", "X", "--on", "Y"],
+        ]
+
+        def run(argv):
+            return (main(argv), *capsys.readouterr())
+
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert fresh[1][0] == 1 and fresh[1][2].startswith("usage: ")
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        shared = [run(argv) for argv in argvs]
+        assert len(builds) == 1
+        assert shared == fresh
+
+
 class TestExportDot:
     def test_latents_dashed(self, graphs, capsys):
         code = main(["export-dot", "--graph", graphs["bow"]])
@@ -418,6 +448,17 @@ class TestClaimedEvidence:
         code, out, _ = check_file(fd_derivation, tmp_path, capsys)
         assert code == 3
         assert "claimed edge cuts or verdict differ" in out
+
+    def test_flipped_direction_exit_three(self, fd_derivation, tmp_path, capsys):
+        # Step 0 spreads P(y | do(x)) over z; read backwards it would be a
+        # marginalization that collapses z instead.
+        params = fd_derivation["steps"][0]["justification"]
+        assert params["direction"] == "introduce"
+        params["direction"] = "collapse"
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 3
+        assert out == ("derivation rejected at step 0: "
+                       "not a Marginalize step in the collapse direction\n")
 
 
 class TestUnresolvedPath:

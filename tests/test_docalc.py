@@ -357,6 +357,64 @@ def sweep_derivations():
             yield d
 
 
+def unique_derivations(d):
+    """``d`` and each nested fragment under it, once each."""
+    seen = {id(d): d}
+    for nested in nested_fragments(d):
+        seen.setdefault(id(nested), nested)
+    return list(seen.values())
+
+
+OPPOSITE = {"split": "merge", "merge": "split", "introduce": "collapse",
+            "collapse": "introduce"}
+
+
+def with_direction(d, i, direction):
+    """``d`` with the direction of step ``i`` replaced."""
+    step = d.steps[i]
+    params = StepParams(step.justification.vars, direction)
+    flipped = DerivationStep(step.kind, step.path, step.before, step.after, params)
+    return Derivation(d.graph, d.query, d.initial, d.steps[:i] + (flipped,) + d.steps[i + 1:])
+
+
+class TestDirections:
+    """The verifier checks each structural step in the orientation that its
+    direction names, not in whichever orientation fits."""
+
+    def test_flipped_direction_rejected(self, g_chain, g_frontdoor):
+        # The sweep's outcomes are all of the unfixed observables, so it has
+        # no marginalization; the two queries add it, and a surplus variable.
+        extra = [derive_effect({"X"}, {"Y"}, g_frontdoor),
+                 derive_effect({"X"}, {"Z"}, g_chain)]
+        flipped = set()
+        for d in [*sweep_derivations(), *extra]:
+            for dd in unique_derivations(d):
+                for i, step in enumerate(dd.steps):
+                    params = step.justification
+                    if not isinstance(params, StepParams):
+                        continue
+                    if params.direction not in OPPOSITE:
+                        assert (step.kind, params.direction) == ("ChainRule", "quotient")
+                        continue
+                    bad = with_direction(dd, i, OPPOSITE[params.direction])
+                    verdict = verify_derivation(bad, models=0)
+                    assert not verdict.accepted and verdict.step == i, (step.kind, params)
+                    flipped.add((step.kind, params.direction))
+        assert flipped == {
+            ("ChainRule", "split"), ("ChainRule", "merge"), ("Marginalize", "introduce"),
+            ("NormalizeToOne", "introduce"), ("NormalizeToOne", "collapse"),
+        }
+
+    def test_unknown_direction_rejected(self, g_frontdoor):
+        d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+        for dd in unique_derivations(d):
+            for i, step in enumerate(dd.steps):
+                if isinstance(step.justification, StepParams):
+                    verdict = verify_derivation(with_direction(dd, i, "sideways"), models=0)
+                    assert (verdict.accepted, verdict.step) == (False, i)
+                    assert verdict.reason.startswith("unknown direction 'sideways'")
+
+
 class TestLifetime:
     def test_fragments_freed_without_full_collection(self, g_frontdoor):
         # Reference counting alone must free the fragments once the
