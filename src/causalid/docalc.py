@@ -1,8 +1,8 @@
 """Machine-checkable do-calculus derivations.
 
 The identification recursion is compiled into an explicit chain of rewrite
-steps on interventional expressions: every ancestral-sum reduction becomes a
-schedule of chain-rule, normalize-to-one, and rule-3 moves, and every
+steps on interventional expressions: every ancestral-sum reduction becomes
+one rule-3 move on a set of actions and one marginalization, and every
 component factorization becomes a schedule of chain-rule, rule-2, and rule-3
 moves (with factor substitutions carrying nested derivations for the
 inductive regrouping).  Rule 1 is never emitted; where its condition holds,
@@ -16,9 +16,9 @@ a replay of the steps from it.
 The generator writes every step through one small vocabulary of named
 rewrites, each of which reads the sentence at a path and computes the new
 subexpression and its justification: chain-rule ``split``, ``merge`` and
-``quotient``, normalize-to-one ``introduce`` and ``collapse``, and the
-rule-2 and rule-3 moves; the query's first marginalization and the factor
-substitutions are the only steps written by hand.
+``quotient``, ``marginalize``, and the set-valued rule-2 and rule-3 moves;
+the factor substitutions are the only steps written by hand.  The verifier
+still accepts normalize-to-one steps, which the generator no longer writes.
 
 The verifier trusts nothing from the generator and shares no code with its
 rewrites: it replays the steps and requires each to rewrite the
@@ -207,10 +207,10 @@ class _Writer:
     """Accumulates rewrite steps against a live expression state.
 
     Each named rewrite (:meth:`split`, :meth:`merge`, :meth:`ratio`,
-    :meth:`introduce`, :meth:`collapse`, :meth:`rule2`, :meth:`rule3`) reads
-    the subexpression at ``path`` and computes both its replacement and the
+    :meth:`marginalize`, :meth:`rule2`, :meth:`rule3`) reads the
+    subexpression at ``path`` and computes both its replacement and the
     justification of the step; ``kind`` and ``direction`` of each step name
-    the rewrite that wrote it."""
+    the rewrite that wrote it.  The rule moves take a set of variables."""
 
     def __init__(self, graph: CausalGraph, root: DoExpr):
         self.graph = graph
@@ -270,23 +270,11 @@ class _Writer:
                                          DoSentence(b, e.do, w)),
                    StepParams(vars=b, direction="quotient"))
 
-    def introduce(self, path: Path, x: str):
-        """Normalize to one: P(S | do, w) -> Σ_x P(x | do, w, S) · P(S | do, w)."""
+    def marginalize(self, path: Path, m: frozenset[str]):
+        """Marginalization: P(S | do, w) -> Σ_m P(S∪m | do, w)."""
         e = self.at(path)
-        phi = DoSentence(frozenset({x}), e.do, e.given | e.outcome)
-        self.apply(NORMALIZE, path, Sum(frozenset({x}), Product([phi, e])),
-                   StepParams(vars=frozenset({x}), direction="introduce"))
-
-    def collapse(self, path: Path, x: str) -> Path:
-        """Normalize to one: drop ``x`` from the bound of the sum at ``path``
-        and its conditional, the first factor, from the sum's body.
-        Returns the path of what is left of the body."""
-        node = self.at(path)
-        rest = _normalize_product(list(node.body.factors[1:]))
-        bound = node.bound - {x}
-        self.apply(NORMALIZE, path, Sum(bound, rest) if bound else rest,
-                   StepParams(vars=frozenset({x}), direction="collapse"))
-        return path + ("body",) if bound else path
+        self.apply(MARGINALIZE, path, Sum(m, DoSentence(e.outcome | m, e.do, e.given)),
+                   StepParams(vars=m, direction="introduce"))
 
     def rule2(self, path: Path, z: frozenset[str]):
         """Rule 2: exchange the actions on ``z`` for observations of ``z``
@@ -297,14 +285,14 @@ class _Writer:
         self.apply(RULE2, path, DoSentence(e.outcome, do, given),
                    rule_applicable(RuleInstance(2, x, e.outcome, z, w, self.graph)))
 
-    def rule3(self, path: Path, v: str):
-        """Rule 3: insert the action on ``v`` into the sentence at ``path``,
-        or delete it."""
+    def rule3(self, path: Path, z: frozenset[str]):
+        """Rule 3: insert the actions on ``z`` into the sentence at ``path``,
+        or delete them."""
         e = self.at(path)
-        x = e.do - {v}
-        after = DoSentence(e.outcome, x if v in e.do else e.do | {v}, e.given)
+        x = e.do - z
+        after = DoSentence(e.outcome, x if z <= e.do else e.do | z, e.given)
         self.apply(RULE3, path, after, rule_applicable(
-            RuleInstance(3, x, e.outcome, frozenset({v}), e.given, self.graph)))
+            RuleInstance(3, x, e.outcome, z, e.given, self.graph)))
 
 
 # -- schedule emitters -----------------------------------------------------------
@@ -334,7 +322,7 @@ def _emit_grouped_factorization(
     # the other groups can be held fixed instead.
     w.rule2(path + (0,), frozenset().union(*others))
     # The remainder is unaffected by intervening on the last variable.
-    w.rule3(path + (1,), x)
+    w.rule3(path + (1,), frozenset({x}))
 
     sub_groups = ([gx_rest] if gx_rest else []) + others
     if len(sub_groups) >= 2:
@@ -346,7 +334,7 @@ def _emit_grouped_factorization(
         # Reattach the last variable to its own group's factor, wherever the
         # recursion left that factor in the product.
         idx = w.at(path).factors.index(_q_sentence(w.graph, gx_rest))
-        w.rule3(path + (idx,), x)
+        w.rule3(path + (idx,), frozenset({x}))
         w.merge(path, 0, idx)
 
 
@@ -361,19 +349,21 @@ def _grouped_factorization_derivation(
 
 def _emit_expand(w: _Writer, path: Path, scope: frozenset[str],
                  start: frozenset[str]) -> Path:
-    """Reverse ancestral reduction: grow the factor sentence on ``start``
-    into a nest of sums of the factor sentence on ``scope``.  Returns the
-    path of the scope sentence."""
-    for x in w.graph.topo_order(scope):
-        if x in start:
-            continue
-        # Holding x fixed changes nothing for the sentence at path; then
-        # multiply by a conditional of x that sums to one and fold it in.
-        w.rule3(path, x)
-        w.introduce(path, x)
-        path = path + ("body",)
-        w.merge(path, 0, 1)
-    return path
+    """Reverse ancestral reduction: rewrite the factor sentence on ``start``
+    into a sum of the factor sentence on ``scope``.  Returns the path of the
+    scope sentence.
+
+    Rule 3 deletes the actions on Z = scope - start at once: with the edges
+    into the remaining actions and into Z cut, a path from Z without a
+    collider is directed, and a directed path from Z into ``start`` would
+    make a member of Z an ancestor of ``start`` inside ``scope``, in which
+    ``start`` is ancestral."""
+    z = scope - start
+    if not z:
+        return path
+    w.rule3(path, z)
+    w.marginalize(path, z)
+    return path + ("body",)
 
 
 def _emit_block_to_prefixes(
@@ -401,12 +391,12 @@ def _emit_block_to_prefixes(
         w.rule2(first, scope - block)
     # Conditional as a ratio of the two adjacent prefix factors.
     w.ratio(first, h)
-    w.rule3(first + ("den",), x)
+    w.rule3(first + ("den",), frozenset({x}))
     leaves = [first + ("num",), first + ("den",)]
     if second is None:
         return leaves
 
-    w.rule3(second, x)
+    w.rule3(second, frozenset({x}))
     sub_blocks = [b for b in _observable_components(g, h) if b <= b_rest]
     assert frozenset().union(*sub_blocks) == b_rest
     if len(sub_blocks) == 1:
@@ -481,14 +471,12 @@ class _Reducer:
             return [(leaf, _PrefixPlan(tr, k)) for leaf in leaves]
         if isinstance(plan, _PrefixPlan):
             tr, k = plan.tr, plan.k
-            dec_scope = n if k == 0 else tr.levels[k - 1][1]
-            prefix = wr.at(path).outcome
-            leaf = _emit_expand(wr, path, dec_scope, prefix)
-            if dec_scope == n:
+            # A prefix is ancestral in the closure set, and the closure set
+            # in its covering block: expand straight to the block.
+            scope = n if k == 0 else tr.levels[k - 1][0]
+            leaf = _emit_expand(wr, path, scope, wr.at(path).outcome)
+            if k == 0:
                 return []  # the full-joint sentence is observational
-            # The closure set itself expands into its covering block.
-            t_prev = tr.levels[k - 1][0]
-            leaf = _emit_expand(wr, leaf, t_prev, dec_scope)
             return [(leaf, _LevelPlan(tr, k - 1))]
         raise GraphError(f"internal error: unknown plan {plan!r}")
 
@@ -541,25 +529,17 @@ def derive_effect(
     n = frozenset(g2.observable_names)
 
     w = _Writer(g2, DoSentence(outcome=s, do=t, given=frozenset()))
-    # Phase A: spread the query over the unfixed observables.
-    big = n - t
-    if big - s:
-        w.apply(
-            MARGINALIZE,
-            (),
-            Sum(big - s, DoSentence(big, t, frozenset())),
-            StepParams(vars=big - s, direction="introduce"),
-        )
-    # Phase B: shrink to the ancestral closure of the outcome, consuming
-    # the topologically last surplus variable from the sum each time.  The
-    # bound left is d - s; the factor sentence on d is the sum's body, or
-    # the whole state once the bound is empty.
-    for x in reversed(sorted(big - trace.d, key=g2.topo_order(big).index)):
-        w.split(("body",), x)
-        w.rule3(w.collapse((), x), x)
-    leaf: Path = ("body",) if trace.d - s else ()
+    # Phase A: spread the query over the ancestral closure d of the outcome.
+    d = trace.d
+    if d - s:
+        w.marginalize((), d - s)
+    leaf: Path = ("body",) if d - s else ()
+    # Phase B: insert the actions on the observables outside t ∪ d, which
+    # leaves the factor sentence on d.
+    if n - t - d:
+        w.rule3(leaf, n - t - d)
     # Phase C: split the closure factor into its confounded components.
-    _emit_grouped_factorization(w, trace.d, list(trace.cq.s_blocks), leaf)
+    _emit_grouped_factorization(w, d, list(trace.cq.s_blocks), leaf)
 
     # Phase D: reduce each component factor through its identification
     # chain, sharing one fragment per distinct sentence and plan.

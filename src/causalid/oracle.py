@@ -10,6 +10,7 @@ are built on top of these primitives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .expr import DoSentence, JointMarginal, PositivityError, _grid, evaluate_grid, free_vars
 from .graph import CausalGraph, GraphError
-from .ident import causal_effect
+from .ident import _observable_components, causal_effect
 from .sep import SeparationQuery
 from .tables import MAX_STATES, EnumerationLimitError, JointTable
 
@@ -359,7 +360,8 @@ WITNESS_NOISE = 0.02  # bit-flip probability of the observables of a parity mode
 @dataclass(frozen=True)
 class WitnessReport:
     """Two positive models agreeing on P(v) but not on P_t(s), built on the
-    failing (c, t) pair ``pair`` of :func:`causal_effect`."""
+    hedge ``pair``: the failing (c, t) pair of :func:`causal_effect` or a
+    smaller hedge (c, t') inside it."""
 
     model_a: DiscreteModel
     model_b: DiscreteModel
@@ -531,22 +533,47 @@ def _parity_pair(g: CausalGraph, c_names: frozenset[str], t_names: frozenset[str
             _parity_model(g, carries, ins_b, flip_b))
 
 
+def _hedges(g: CausalGraph, c: frozenset[str], t: frozenset[str],
+            t_vars: frozenset[str]):
+    """The failing pair's ``t``, then the smaller hedges (c, t') inside it,
+    smallest first: c ⊊ t' ⊊ t, where t' meets the do-set, is the
+    ancestral closure of ``c`` in its own latent subgraph, and is one
+    confounded component."""
+    yield t
+    extra = g.sorted_nodes(t - c)
+    for k in range(1, len(extra)):
+        for more in itertools.combinations(extra, k):
+            t2 = c | frozenset(more)
+            if (t2 & t_vars and g._ancestors_within(c, t2) == t2
+                    and len(_observable_components(g, t2)) == 1):
+                yield t2
+
+
 def witness_search(g: CausalGraph, t: Iterable[str], s: Iterable[str]) -> WitnessReport | None:
     """Certificate that P_t(s) is not identifiable: the pair of
-    :func:`_parity_pair`, returned only if :func:`observational_joint` and
-    :func:`intervened_array` show an observational gap <= 1e-9, a causal
-    gap >= 1e-2 over s ∪ t, and positive observational joints.  None for
-    an identifiable effect or a pair that fails this check."""
+    :func:`_parity_pair` on the failing (c, t) pair of :func:`causal_effect`
+    or, where that pair cannot be built or fails the check, on the first of
+    the smaller hedges inside it that passes.  A pair passes if
+    :func:`observational_joint` and :func:`intervened_array` show an
+    observational gap <= 1e-9, a causal gap >= 1e-2 over s ∪ t, and
+    positive observational joints.  None for an identifiable effect or when
+    no hedge passes."""
     t_vars, s_vars = frozenset(t), frozenset(s)
     res = causal_effect(t_vars, s_vars, g)
-    pair = None if res.identifiable else _parity_pair(g, *res.witness, t_vars, s_vars)
-    if pair is None:
+    if res.identifiable:
         return None
+    c, t_fail = res.witness
     drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in t_vars | s_vars)
-    obs = [observational_joint(m).array for m in pair]
-    causal = [intervened_array(m, t_vars).sum(axis=drop) for m in pair]
-    obs_gap = float(np.max(np.abs(obs[0] - obs[1])))
-    causal_gap = float(np.max(np.abs(causal[0] - causal[1])))
-    if obs_gap > 1e-9 or causal_gap < 1e-2 or min(obs[0].min(), obs[1].min()) <= 0.0:
-        return None
-    return WitnessReport(*pair, obs_gap, causal_gap, evaluations=1, pair=res.witness)
+    evaluations = 0
+    for hedge in _hedges(g, c, t_fail, t_vars):
+        pair = _parity_pair(g, c, hedge, t_vars, s_vars)
+        if pair is None:
+            continue
+        evaluations += 1
+        obs = [observational_joint(m).array for m in pair]
+        causal = [intervened_array(m, t_vars).sum(axis=drop) for m in pair]
+        obs_gap = float(np.max(np.abs(obs[0] - obs[1])))
+        causal_gap = float(np.max(np.abs(causal[0] - causal[1])))
+        if obs_gap <= 1e-9 and causal_gap >= 1e-2 and min(obs[0].min(), obs[1].min()) > 0.0:
+            return WitnessReport(*pair, obs_gap, causal_gap, evaluations, pair=(c, hedge))
+    return None

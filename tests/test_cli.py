@@ -27,6 +27,31 @@ edge U X
 edge U Y
 """
 
+# The failing pair of P_X(C, Y) is ({R, C}, {X, R, W, C}).  Every directed
+# path from its forest root R into the outcome passes through W, so its
+# parity pair cannot be built; that of the smaller hedge ({R, C}, {X, R, C})
+# can.
+LIFT = """\
+node X obs
+node R obs
+node W obs
+node C obs
+node Y obs
+node U1 lat
+node U2 lat
+node U3 lat
+edge X R
+edge R W
+edge W C
+edge W Y
+edge U1 R
+edge U1 C
+edge U2 W
+edge U2 X
+edge U3 X
+edge U3 R
+"""
+
 FRONTDOOR = """\
 node X obs
 node Z obs
@@ -51,7 +76,7 @@ edge X Y
 @pytest.fixture
 def graphs(tmp_path):
     paths = {}
-    for name, text in [("bow", BOW), ("fd", FRONTDOOR), ("bd", BACKDOOR)]:
+    for name, text in [("bow", BOW), ("fd", FRONTDOOR), ("bd", BACKDOOR), ("lift", LIFT)]:
         p = tmp_path / f"{name}.cg"
         p.write_text(text)
         paths[name] = str(p)
@@ -242,6 +267,16 @@ class TestOracle:
         code = main(["oracle", "witness", "--graph", graphs["bow"], "--do", "X", "--on", "Y"])
         assert code == 0
         assert capsys.readouterr().out.startswith("witness found for c=['Y'], t=['X', 'Y']: ")
+
+    def test_witness_lift_uses_smaller_hedge(self, graphs, capsys):
+        query = ["oracle", "witness", "--graph", graphs["lift"], "--do", "X", "--on", "C", "Y"]
+        assert main([*query, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["found"] is True
+        assert data["observational_gap"] <= 1e-9 and data["causal_gap"] >= 1e-2
+        assert main(query) == 0
+        assert capsys.readouterr().out.startswith(
+            "witness found for c=['R', 'C'], t=['X', 'R', 'C']: ")
 
     def test_witness_identifiable_not_found(self, graphs, capsys):
         code = main(["oracle", "witness", "--graph", graphs["bd"], "--do", "X", "--on", "Y",
@@ -552,7 +587,7 @@ class TestGoldenOutput:
     say in the change what output changed and why.
     """
 
-    GOLDEN = "55b1dca4b76b4844c31bcb693230a962539e5b0067920b0edb21b7a713a87ab6"
+    GOLDEN = "61c4c3e4299ff451cb2050b2b183641d34ad6e3f7f0c734f28b9570209785ebe"
 
     def test_outputs_match_recorded_hash(self, tmp_path):
         digest = golden_digest(tmp_path)

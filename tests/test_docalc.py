@@ -3,6 +3,7 @@ rule-1 elimination property."""
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,7 +345,10 @@ def nested_fragments(d):
 
 
 def sweep_derivations():
-    """The derivations of the 60-graph random sweep above."""
+    """The derivations of the 60-graph random sweep above, then of 40 draws
+    whose outcome sets leave out some of the unfixed observables, so that
+    the query is marginalized and actions are inserted on the observables
+    outside the outcome's ancestral closure."""
     rng = np.random.default_rng(123)
     for _ in range(60):
         g = random_dag(rng, n_obs=int(rng.integers(2, 6)),
@@ -353,6 +357,17 @@ def sweep_derivations():
         rng.shuffle(obs)
         n_t = int(rng.integers(1, len(obs)))
         d = derive_effect(frozenset(obs[:n_t]), frozenset(obs[n_t:]), g)
+        if isinstance(d, Derivation):
+            yield d
+    rng = np.random.default_rng(124)
+    for _ in range(40):
+        g = random_dag(rng, n_obs=int(rng.integers(3, 7)),
+                       n_lat=int(rng.integers(0, 4)))
+        obs = list(g.observable_names)
+        rng.shuffle(obs)
+        n_t = int(rng.integers(1, len(obs) - 1))
+        n_s = int(rng.integers(1, len(obs) - n_t))
+        d = derive_effect(frozenset(obs[:n_t]), frozenset(obs[n_t:n_t + n_s]), g)
         if isinstance(d, Derivation):
             yield d
 
@@ -369,25 +384,32 @@ OPPOSITE = {"split": "merge", "merge": "split", "introduce": "collapse",
             "collapse": "introduce"}
 
 
+def with_step(d, i, step):
+    """``d`` with step ``i`` replaced by ``step``."""
+    return Derivation(d.graph, d.query, d.initial, d.steps[:i] + (step,) + d.steps[i + 1:])
+
+
 def with_direction(d, i, direction):
     """``d`` with the direction of step ``i`` replaced."""
     step = d.steps[i]
-    params = StepParams(step.justification.vars, direction)
-    flipped = DerivationStep(step.kind, step.path, step.before, step.after, params)
-    return Derivation(d.graph, d.query, d.initial, d.steps[:i] + (flipped,) + d.steps[i + 1:])
+    return with_step(d, i, replace(
+        step, justification=StepParams(step.justification.vars, direction)))
 
 
 class TestDirections:
     """The verifier checks each structural step in the orientation that its
     direction names, not in whichever orientation fits."""
 
-    def test_flipped_direction_rejected(self, g_chain, g_frontdoor):
-        # The sweep's outcomes are all of the unfixed observables, so it has
-        # no marginalization; the two queries add it, and a surplus variable.
-        extra = [derive_effect({"X"}, {"Y"}, g_frontdoor),
-                 derive_effect({"X"}, {"Z"}, g_chain)]
+    def test_flipped_direction_rejected(self, g_chain):
+        # No derivation writes a NormalizeToOne step any more, but files
+        # written earlier hold them; the hand-built one covers that kind.
+        before = Sum({"Y"}, DoSentence(frozenset({"Y"}), frozenset(), frozenset()))
+        normalize = Derivation(g_chain, None, before, (DerivationStep(
+            "NormalizeToOne", (), before, One(),
+            StepParams(vars=frozenset({"Y"}), direction="collapse"),
+        ),))
         flipped = set()
-        for d in [*sweep_derivations(), *extra]:
+        for d in [*sweep_derivations(), normalize]:
             for dd in unique_derivations(d):
                 for i, step in enumerate(dd.steps):
                     params = step.justification
@@ -402,7 +424,7 @@ class TestDirections:
                     flipped.add((step.kind, params.direction))
         assert flipped == {
             ("ChainRule", "split"), ("ChainRule", "merge"), ("Marginalize", "introduce"),
-            ("NormalizeToOne", "introduce"), ("NormalizeToOne", "collapse"),
+            ("NormalizeToOne", "collapse"),
         }
 
     def test_unknown_direction_rejected(self, g_frontdoor):
@@ -413,6 +435,38 @@ class TestDirections:
                     verdict = verify_derivation(with_direction(dd, i, "sideways"), models=0)
                     assert (verdict.accepted, verdict.step) == (False, i)
                     assert verdict.reason.startswith("unknown direction 'sideways'")
+
+
+class TestSetMutations:
+    """Dropping one member of a set that a step moves is caught."""
+
+    def test_dropped_member_rejected(self):
+        rule3 = marginalize = 0
+        for d in sweep_derivations():
+            for dd in unique_derivations(d):
+                for i, step in enumerate(dd.steps):
+                    just = step.justification
+                    if step.kind == "Rule3" and len(just.instance.z) >= 2:
+                        v = min(just.instance.z)
+                        claim = replace(just, instance=replace(
+                            just.instance, z=just.instance.z - {v}))
+                        verdict = verify_derivation(
+                            with_step(dd, i, replace(step, justification=claim)), models=0)
+                        assert (verdict.accepted, verdict.step) == (False, i)
+                        assert verdict.reason == \
+                            "embedded rule instance does not match the rewrite"
+                        # The rewrite, too, leaves v where it was.
+                        after = replace(step.after, do=step.after.do ^ {v})
+                        bad = replace(step, after=after, justification=claim)
+                        assert not verify_derivation(with_step(dd, i, bad), models=0).accepted
+                        rule3 += 1
+                    if step.kind == "Marginalize" and len(just.vars) >= 2:
+                        params = replace(just, vars=just.vars - {min(just.vars)})
+                        verdict = verify_derivation(
+                            with_step(dd, i, replace(step, justification=params)), models=0)
+                        assert (verdict.accepted, verdict.step) == (False, i)
+                        marginalize += 1
+        assert rule3 and marginalize
 
 
 class TestLifetime:
