@@ -216,8 +216,9 @@ def _cmd_oracle_witness(args) -> int:
     if rep is None:
         _emit({"found": False}, args.json, "no witness found")
         return EXIT_OK
-    pair = _pair_json(g, rep.pair)
-    _emit(rep.to_json(), args.json,
+    data = rep.to_json()
+    pair = data["pair"]
+    _emit(data, args.json,
           f"witness found for c={pair['c']}, t={pair['t']}: observational gap "
           f"{rep.observational_gap:.3e}, causal gap {rep.causal_gap:.3e}")
     return EXIT_OK

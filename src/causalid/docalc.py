@@ -20,15 +20,19 @@ subexpression and its justification: chain-rule ``split``, ``merge`` and
 the factor substitutions are the only steps written by hand.  The verifier
 still accepts normalize-to-one steps, which the generator no longer writes.
 
+A rule step is justified by its rewrite alone: the rule instance can be
+read off the two sentences, and its edge cuts and verdict follow from the
+instance, so a rule step stores no claim about them.
+
 The verifier trusts nothing from the generator and shares no code with its
 rewrites: it replays the steps and requires each to rewrite the
 subexpression its path reaches, narrows each rewrite to its changed
-subexpression by diffing, rebuilds the claimed rule instances from the
-leaves and re-runs their separation tests on the graph with each rule's
-edge cuts applied, checks each structural step against the schema of its
-kind and direction in the orientation that the direction names, and
-spot-checks each step numerically on random positive models through the
-oracle's interventional-sentence evaluator.
+subexpression by diffing, reads each rule instance off the two sentences
+and runs its separation test on the graph with the rule's edge cuts
+applied, checks each structural step against the schema of its kind and
+direction in the orientation that the direction names, and spot-checks
+each step numerically on random positive models through the oracle's
+interventional-sentence evaluator.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .ident import (
     _observable_components,
 )
 from .oracle import DoEvaluator, _check_tolerance, random_model
-from .sep import RuleEvidence, RuleInstance, evidence_from_json, rule_applicable
+from .sep import RuleInstance, rule_applicable
 
 __all__ = [
     "DoSentence",
@@ -104,13 +108,14 @@ class Substitution:
 @dataclass(frozen=True)
 class DerivationStep:
     """One rewrite: the subexpression at ``path`` of the previous state
-    goes from ``before`` to ``after``; the rest of the state is unchanged."""
+    goes from ``before`` to ``after``; the rest of the state is unchanged.
+    A rule step's justification is None: its rewrite names the instance."""
 
     kind: str
     path: Path
     before: DoExpr
     after: DoExpr
-    justification: RuleEvidence | StepParams | Substitution
+    justification: StepParams | Substitution | None
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,9 @@ class _Writer:
     :meth:`marginalize`, :meth:`rule2`, :meth:`rule3`) reads the
     subexpression at ``path`` and computes both its replacement and the
     justification of the step; ``kind`` and ``direction`` of each step name
-    the rewrite that wrote it.  The rule moves take a set of variables."""
+    the rewrite that wrote it.  The rule moves take a set of variables and
+    test their instance before writing a step, which carries no
+    justification."""
 
     def __init__(self, graph: CausalGraph, root: DoExpr):
         self.graph = graph
@@ -222,10 +229,6 @@ class _Writer:
         return Derivation(self.graph, query, self.root, tuple(self.steps))
 
     def apply(self, kind: str, path: Path, after_local: DoExpr, justification):
-        if isinstance(justification, RuleEvidence) and not justification.holds:
-            raise GraphError(
-                f"internal error: generated {kind} step whose separation fails"
-            )
         self.steps.append(
             DerivationStep(kind, path, _get(self.state, path), after_local, justification)
         )
@@ -282,17 +285,25 @@ class _Writer:
         e = self.at(path)
         x, w = e.do - z, e.given - z
         do, given = (x, w | z) if z <= e.do else (x | z, w)
-        self.apply(RULE2, path, DoSentence(e.outcome, do, given),
-                   rule_applicable(RuleInstance(2, x, e.outcome, z, w, self.graph)))
+        self.tested(RULE2, path, DoSentence(e.outcome, do, given),
+                    RuleInstance(2, x, e.outcome, z, w, self.graph))
 
     def rule3(self, path: Path, z: frozenset[str]):
         """Rule 3: insert the actions on ``z`` into the sentence at ``path``,
         or delete them."""
         e = self.at(path)
         x = e.do - z
-        after = DoSentence(e.outcome, x if z <= e.do else e.do | z, e.given)
-        self.apply(RULE3, path, after, rule_applicable(
-            RuleInstance(3, x, e.outcome, z, e.given, self.graph)))
+        self.tested(RULE3, path,
+                    DoSentence(e.outcome, x if z <= e.do else e.do | z, e.given),
+                    RuleInstance(3, x, e.outcome, z, e.given, self.graph))
+
+    def tested(self, kind: str, path: Path, after_local: DoExpr, instance: RuleInstance):
+        """Write a rule step once its instance is tested to hold."""
+        if not rule_applicable(instance).holds:
+            raise GraphError(
+                f"internal error: generated {kind} step whose separation fails"
+            )
+        self.apply(kind, path, after_local, None)
 
 
 # -- schedule emitters -----------------------------------------------------------
@@ -413,13 +424,6 @@ def _emit_block_to_prefixes(
 
 
 @dataclass(frozen=True)
-class _IdentPlan:
-    """Reduce a component factor through its identification chain."""
-
-    tr: IdentifyTrace
-
-
-@dataclass(frozen=True)
 class _LevelPlan:
     """Factorize the chain's covering set at level ``k`` into prefix ratios."""
 
@@ -429,7 +433,8 @@ class _LevelPlan:
 
 @dataclass(frozen=True)
 class _PrefixPlan:
-    """Expand a prefix factor back over its decomposition scope."""
+    """Expand a prefix factor back over its decomposition scope; at
+    ``k = len(tr.levels)``, a component factor over its covering set."""
 
     tr: IdentifyTrace
     k: int
@@ -454,16 +459,6 @@ class _Reducer:
         """Execute one reduction stage; returns worklist items for the
         pending sentences it leaves behind."""
         n = self.n
-        if isinstance(plan, _IdentPlan):
-            tr = plan.tr
-            t_z, a_z = tr.levels[-1]
-            assert a_z == tr.c
-            if t_z == tr.c:
-                # The block is its whole component; go straight to the
-                # component factorization of the covering scope.
-                return self.run_plan(wr, path, _LevelPlan(tr, len(tr.levels) - 1))
-            leaf = _emit_expand(wr, path, t_z, tr.c)
-            return [(leaf, _LevelPlan(tr, len(tr.levels) - 1))]
         if isinstance(plan, _LevelPlan):
             tr, k = plan.tr, plan.k
             dec_scope = n if k == 0 else tr.levels[k - 1][1]
@@ -474,9 +469,14 @@ class _Reducer:
             # A prefix is ancestral in the closure set, and the closure set
             # in its covering block: expand straight to the block.
             scope = n if k == 0 else tr.levels[k - 1][0]
-            leaf = _emit_expand(wr, path, scope, wr.at(path).outcome)
+            start = wr.at(path).outcome
+            leaf = _emit_expand(wr, path, scope, start)
             if k == 0:
                 return []  # the full-joint sentence is observational
+            if scope == start:
+                # Only a component that is its own covering set: go straight
+                # to its factorization.
+                return self.run_plan(wr, path, _LevelPlan(tr, k - 1))
             return [(leaf, _LevelPlan(tr, k - 1))]
         raise GraphError(f"internal error: unknown plan {plan!r}")
 
@@ -544,7 +544,7 @@ def derive_effect(
     # Phase D: reduce each component factor through its identification
     # chain, sharing one fragment per distinct sentence and plan.
     plan_of = {
-        _q_sentence(g2, sb): _IdentPlan(tr)
+        _q_sentence(g2, sb): _PrefixPlan(tr, len(tr.levels))
         for sb, tr in zip(trace.cq.s_blocks, trace.cq.identify_traces)
     }
     node = w.at(leaf)
@@ -628,6 +628,9 @@ def _as_factors(e: DoExpr) -> list[DoExpr]:
 
 def _check_rule_step(step: DerivationStep, graph: CausalGraph,
                      site: tuple[DoExpr, DoExpr]) -> None:
+    """The rule instance read off the two sentences of ``site`` must hold."""
+    if step.justification is not None:
+        raise _Mismatch("rule step carries a justification")
     b, a = site
     if not (isinstance(b, DoSentence) and isinstance(a, DoSentence)):
         raise _Mismatch("rule step must rewrite a single sentence")
@@ -653,22 +656,8 @@ def _check_rule_step(step: DerivationStep, graph: CausalGraph,
         if not moved <= hat_side.do:
             raise _Mismatch("sets do not match an action insertion/deletion")
         w = b.given
-    instance = RuleInstance(want_rule, x, b.outcome, moved, w, graph)
-    just = step.justification
-    if not isinstance(just, RuleEvidence):
-        raise _Mismatch("rule step lacks rule evidence")
-    ji = just.instance
-    if (ji.rule, ji.x, ji.y, ji.z, ji.w) != (
-        instance.rule, instance.x, instance.y, instance.z, instance.w,
-    ):
-        raise _Mismatch("embedded rule instance does not match the rewrite")
-    ev = rule_applicable(instance)
-    if not ev.holds:
+    if not rule_applicable(RuleInstance(want_rule, x, b.outcome, moved, w, graph)).holds:
         raise _Mismatch("separation condition fails on the mutilated graph")
-    if (just.cut_incoming, just.cut_outgoing, just.holds) != (
-        ev.cut_incoming, ev.cut_outgoing, ev.holds,
-    ):
-        raise _Mismatch("claimed edge cuts or verdict differ from the recomputed test")
 
 
 def _chain_split(whole: DoExpr, parts: DoExpr, b: frozenset[str]) -> bool:
@@ -807,11 +796,7 @@ def _check_step(step: DerivationStep, graph: CausalGraph,
         sub, nested_final = hit
         if not sub.accepted:
             raise _Mismatch(f"nested derivation rejected at step {sub.step}: {sub.reason}")
-        ends = (nested.initial, nested_final)
-        if not (
-            (_same(ends[0], site[0]) and _same(ends[1], site[1]))
-            or (_same(ends[0], site[1]) and _same(ends[1], site[0]))
-        ):
+        if not (_same(nested.initial, site[0]) and _same(nested_final, site[1])):
             raise _Mismatch("nested derivation endpoints do not match the site")
     else:
         raise _Mismatch(f"unknown step kind {step.kind!r}")
@@ -912,8 +897,8 @@ class _Encoder:
         return k
 
     def justification(self, j) -> dict:
-        if isinstance(j, RuleEvidence):
-            return {"type": "rule", **j.to_json()}
+        if j is None:
+            return {"type": "rule"}
         if isinstance(j, StepParams):
             return {"type": "params", "vars": sorted(j.vars), "direction": j.direction}
         if isinstance(j, Substitution):
@@ -1019,7 +1004,7 @@ def _body_from_json(data: Mapping, graph: CausalGraph,
             jd = json_field(sd, "justification", dict)
             jtype = json_field(jd, "type", str)
             if jtype == "rule":
-                just = evidence_from_json(jd, graph)
+                just = None  # claim keys of older files are ignored
             elif jtype == "params":
                 just = StepParams(
                     vars=json_names(jd, "vars"), direction=json_field(jd, "direction", str)
@@ -1045,9 +1030,9 @@ def derivation_from_json(data: Mapping) -> Derivation:
     """Decode a format-2 derivation file (see :func:`derivation_to_json`).
 
     Steps are decoded as stored, without replaying them, and each fragment
-    into one shared :class:`Derivation`; chaining and rule evidence are
-    taken as claimed, for the verifier to recompute.  Malformed input
-    raises ValueError.
+    into one shared :class:`Derivation`; chaining is taken as claimed, for
+    the verifier to recompute.  A rule step's justification decodes to
+    None, whatever other keys it has.  Malformed input raises ValueError.
     """
     where = "format"
     try:

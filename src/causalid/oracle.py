@@ -371,8 +371,11 @@ class WitnessReport:
     pair: tuple[frozenset[str], frozenset[str]]
 
     def to_json(self) -> dict:
+        g = self.model_a.graph
+        c, t = self.pair
         return {
             "found": True,
+            "pair": {"c": list(g.sorted_nodes(c)), "t": list(g.sorted_nodes(t))},
             "observational_gap": self.observational_gap,
             "causal_gap": self.causal_gap,
             "evaluations": self.evaluations,

@@ -10,16 +10,15 @@ take part in separation like any other node; the engine simply never puts
 them into conditioning sets.
 
 Each rule check returns an evidence object naming the edge cuts and the
-decision, so derivation steps can carry a claim that a verifier re-checks
-independently.
+decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .graph import CausalGraph, GraphError, json_field, json_names
+from .graph import CausalGraph, GraphError
 
 __all__ = [
     "SeparationQuery",
@@ -96,7 +95,9 @@ class RuleInstance:
 
 @dataclass(frozen=True)
 class RuleEvidence:
-    """The separation test behind a rule decision.
+    """The separation test behind a rule decision, as :func:`rule_applicable`
+    returns it; a derivation step does not store it, since its rewrite names
+    the instance.
 
     ``cut_incoming``/``cut_outgoing`` are the node sets whose incoming and
     outgoing edges the rule cuts; the test is whether ``instance.y`` is
@@ -111,41 +112,6 @@ class RuleEvidence:
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def to_json(self) -> dict:
-        r = self.instance
-        g = r.graph
-        return {
-            "rule": r.rule,
-            "x": list(g.sorted_nodes(r.x)),
-            "y": list(g.sorted_nodes(r.y)),
-            "z": list(g.sorted_nodes(r.z)),
-            "w": list(g.sorted_nodes(r.w)),
-            "cut_incoming": list(g.sorted_nodes(self.cut_incoming)),
-            "cut_outgoing": list(g.sorted_nodes(self.cut_outgoing)),
-            "holds": self.holds,
-        }
-
-
-def evidence_from_json(data: Mapping, graph: CausalGraph) -> RuleEvidence:
-    """The evidence as claimed in ``data`` (see :meth:`RuleEvidence.to_json`).
-
-    Nothing is re-tested here: a verifier recomputes the claim with
-    :func:`rule_applicable`.  Malformed input raises ValueError."""
-    instance = RuleInstance(
-        rule=json_field(data, "rule", int),
-        x=json_names(data, "x"),
-        y=json_names(data, "y"),
-        z=json_names(data, "z"),
-        w=json_names(data, "w"),
-        graph=graph,
-    )
-    return RuleEvidence(
-        instance=instance,
-        cut_incoming=json_names(data, "cut_incoming"),
-        cut_outgoing=json_names(data, "cut_outgoing"),
-        holds=json_field(data, "holds", bool),
-    )
 
 
 def _ancestors(g: CausalGraph, seeds: Iterable[int], cut_in: frozenset[int],

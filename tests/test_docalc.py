@@ -110,15 +110,11 @@ class TestVerifyRejections:
         # Y <- U -> X is active, so the claimed separation is false.
         before = DoSentence(frozenset({"Y"}), frozenset(), frozenset())
         after = DoSentence(frozenset({"Y"}), frozenset({"X"}), frozenset())
-        ev = rule_applicable(
-            RuleInstance(3, frozenset(), frozenset({"Y"}), frozenset({"X"}),
-                        frozenset(), g_bow)
-        )
         d = Derivation(
             graph=g_bow,
             query=None,
             initial=before,
-            steps=(DerivationStep("Rule3", (), before, after, ev),),
+            steps=(DerivationStep("Rule3", (), before, after, None),),
         )
         verdict = verify_derivation(d)
         assert not verdict.accepted
@@ -147,24 +143,38 @@ class TestVerifyRejections:
         verdict = verify_derivation(Derivation(d.graph, d.query, d.initial, tuple(steps)))
         assert not verdict.accepted
 
-    def test_mismatched_embedded_instance_rejected(self, g_backdoor):
-        # swap the evidence of a rule step for a different (even valid)
-        # instance: the verifier re-derives the instance from the leaves
-        # and must notice.
+    def test_rule_step_with_justification_rejected(self, g_backdoor):
+        # A rule step is justified by its rewrite; it carries no evidence,
+        # not even the true evidence of its own instance.
         d = derive_effect({"X"}, {"Y"}, g_backdoor)
         idx, step = next(
             (i, s) for i, s in enumerate(d.steps) if s.kind in ("Rule2", "Rule3")
         )
-        other = rule_applicable(
-            RuleInstance(int(step.kind[-1]), frozenset(), frozenset({"Z"}),
-                        frozenset({"Y"}), frozenset(), g_backdoor)
-        )
-        steps = list(d.steps)
-        steps[idx] = DerivationStep(step.kind, step.path, step.before, step.after, other)
-        verdict = verify_derivation(Derivation(d.graph, d.query, d.initial, tuple(steps)),
-                                    models=0)
-        assert not verdict.accepted
-        assert verdict.step == idx
+        b, a = step.before, step.after
+        evidence = rule_applicable(RuleInstance(
+            int(step.kind[-1]), b.do & a.do, b.outcome, b.do ^ a.do, b.given & a.given,
+            g_backdoor))
+        assert evidence.holds
+        verdict = verify_derivation(
+            with_step(d, idx, replace(step, justification=evidence)), models=0)
+        assert (verdict.accepted, verdict.step) == (False, idx)
+        assert verdict.reason == "rule step carries a justification"
+
+    def test_backward_substitution_rejected(self, g_frontdoor):
+        # A fragment that substitutes a nested derivation from its final
+        # back to its initial states an equality that the nested steps do
+        # prove, but a substitution runs forward only.
+        d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+        nested = next(nested_fragments(d))
+        final = nested.final
+        backward = Derivation(d.graph, None, final, (DerivationStep(
+            "FactorSubstitute", (), final, nested.initial, Substitution(nested)),))
+        verdict = verify_derivation(backward, models=0)
+        assert (verdict.accepted, verdict.step) == (False, 0)
+        assert verdict.reason == "nested derivation endpoints do not match the site"
+        forward = Derivation(d.graph, None, nested.initial, (DerivationStep(
+            "FactorSubstitute", (), nested.initial, final, Substitution(nested)),))
+        assert verify_derivation(forward, models=0).accepted
 
     def test_substitution_endpoint_mismatch_rejected(self, g_frontdoor):
         d = derive_effect({"X"}, {"Y"}, g_frontdoor)
@@ -446,18 +456,13 @@ class TestSetMutations:
             for dd in unique_derivations(d):
                 for i, step in enumerate(dd.steps):
                     just = step.justification
-                    if step.kind == "Rule3" and len(just.instance.z) >= 2:
-                        v = min(just.instance.z)
-                        claim = replace(just, instance=replace(
-                            just.instance, z=just.instance.z - {v}))
-                        verdict = verify_derivation(
-                            with_step(dd, i, replace(step, justification=claim)), models=0)
-                        assert (verdict.accepted, verdict.step) == (False, i)
-                        assert verdict.reason == \
-                            "embedded rule instance does not match the rewrite"
-                        # The rewrite, too, leaves v where it was.
+                    moved = step.before.do ^ step.after.do if step.kind == "Rule3" else ()
+                    if len(moved) >= 2:
+                        # The rewrite leaves one member of the moved set
+                        # where it was.
+                        v = min(moved)
                         after = replace(step.after, do=step.after.do ^ {v})
-                        bad = replace(step, after=after, justification=claim)
+                        bad = replace(step, after=after)
                         assert not verify_derivation(with_step(dd, i, bad), models=0).accepted
                         rule3 += 1
                     if step.kind == "Marginalize" and len(just.vars) >= 2:

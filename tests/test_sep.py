@@ -175,20 +175,6 @@ class TestRules:
             RuleInstance(2, frozenset({"X"}), frozenset({"X"}), frozenset(),
                         frozenset(), g_chain)
 
-    def test_evidence_serialization(self, g_backdoor):
-        r = RuleInstance(2, frozenset(), frozenset({"Y"}), frozenset({"X"}),
-                        frozenset({"Z"}), g_backdoor)
-        data = rule_applicable(r).to_json()
-        assert data == {
-            "rule": 2,
-            "x": [],
-            "y": ["Y"],
-            "z": ["X"],
-            "w": ["Z"],
-            "cut_incoming": [],
-            "cut_outgoing": ["X"],
-            "holds": True,
-        }
 
 
 def reference_evidence(r):
