@@ -34,7 +34,7 @@ def c_components(g: CausalGraph, scope: Names | None = None) -> CComponentPartit
     with every edge between them.  Graphs without latents come out as all
     singletons.
     """
-    keep = range(len(g)) if scope is None else g._up(g._observables(scope, "dup"))
+    keep = range(len(g)) if scope is None else g._up(g._observables(scope, "c_components"))
     parents, children, obs = g._parents, g._children, g._obs
     blocks: list[frozenset[str]] = []
     seen: set[int] = set()

@@ -59,6 +59,7 @@ from .graph import CausalGraph, GraphError, json_field, json_names
 from .ident import (
     IdentResult,
     IdentifyTrace,
+    Unidentifiable,
     _causal_effect_traced,
     _observable_components,
 )
@@ -513,18 +514,19 @@ def derive_effect(
 ) -> "Derivation | IdentResult":
     """Compile the identification of P_t(s) into a checkable derivation.
 
-    Mirrors the identification recursion exactly: it returns the
-    not-identifiable result in precisely the cases where the estimand
-    construction does, and otherwise a derivation from P(s | do(t)) to an
-    observational expression, using only rules 2 and 3 plus probability
-    manipulations.
+    Replays the set trace of the identification recursion, and builds no
+    estimand: it returns the not-identifiable result exactly where
+    :func:`~causalid.ident.causal_effect` does, and otherwise a derivation
+    from P(s | do(t)) to an observational expression, using only rules 2
+    and 3 plus probability manipulations.
     """
     t, s = frozenset(t), frozenset(s)
     if not t:
         raise GraphError("derivations require a nonempty do-set")
-    res, trace = _causal_effect_traced(t, s, g)
-    if not res.identifiable:
-        return res
+    try:
+        trace = _causal_effect_traced(t, s, g)
+    except Unidentifiable as u:
+        return IdentResult(estimand=None, witness=u.pair)
     g2 = trace.graph
     n = frozenset(g2.observable_names)
 
@@ -539,13 +541,13 @@ def derive_effect(
     if n - t - d:
         w.rule3(leaf, n - t - d)
     # Phase C: split the closure factor into its confounded components.
-    _emit_grouped_factorization(w, d, list(trace.cq.s_blocks), leaf)
+    _emit_grouped_factorization(w, d, list(trace.s_blocks), leaf)
 
     # Phase D: reduce each component factor through its identification
     # chain, sharing one fragment per distinct sentence and plan.
     plan_of = {
         _q_sentence(g2, sb): _PrefixPlan(tr, len(tr.levels))
-        for sb, tr in zip(trace.cq.s_blocks, trace.cq.identify_traces)
+        for sb, tr in zip(trace.s_blocks, trace.identify_traces)
     }
     node = w.at(leaf)
     paths = ([leaf + (i,) for i in range(len(node.factors))]
@@ -1045,7 +1047,14 @@ def derivation_from_json(data: Mapping) -> Derivation:
         qd = json_field(data, "query", (dict, type(None)))
         query = None
         if qd is not None:
-            query = (json_names(qd, "do"), json_names(qd, "on"))
+            query = t, s = json_names(qd, "do"), json_names(qd, "on")
+            if not t or not s:
+                raise ValueError("'do' and 'on' must be nonempty")
+            if t & s:
+                raise ValueError(f"{min(t & s)!r} is in both 'do' and 'on'")
+            observable = frozenset(graph.observable_names)
+            if not t | s <= observable:
+                raise ValueError(f"{min((t | s) - observable)!r} is not an observable node")
         fragments: list[Derivation] = []
         where = "fragments"
         fragments_data = json_field(data, "fragments", list)

@@ -342,7 +342,7 @@ class CausalGraph:
     def latent_subgraph(self, c: Names) -> "CausalGraph":
         """Subgraph on ``c`` plus its all-latent-path parents, with every
         edge between retained nodes."""
-        return self._subgraph(self._up(self._observables(c, "dup")))
+        return self._subgraph(self._up(self._observables(c, "latent_subgraph")))
 
     def _keep_edges(self, keep) -> "CausalGraph":
         """The graph with the edges ``(p, c)`` (indices) that ``keep`` accepts."""

@@ -1,14 +1,13 @@
 """The identification decision procedure.
 
-Decides identifiability of P_t(s) and produces a symbolic estimand over
-observational marginals when the effect is identifiable.  The procedure
-factorizes the observables into confounded components, reduces each target
-block against its component with an ancestral-set recursion, and assembles
-the answer as sums of products of quotients of prefix marginals.
-
-Every public entry point returns an :class:`IdentResult`; the recursion also
-records a structural trace that the derivation compiler replays to emit
-rule-2/rule-3 justifications for each reduction.
+Decides identifiability of P_t(s) from graph structure alone and, when the
+effect is identifiable, builds a symbolic estimand over observational
+marginals.  The decision is a recursion on sets: the observables are split
+into confounded components, and each target block is reduced against its
+component by a chain of ancestral sets, recorded as a trace.  The estimand
+is a fold over that trace (sums of products of quotients of prefix
+marginals), built only once the decision has succeeded; the derivation
+compiler reads the trace alone.
 """
 
 from __future__ import annotations
@@ -67,14 +66,15 @@ class IdentResult:
 
 
 class Unidentifiable(Exception):
-    """Internal unwind signal carrying the failing (c, t) pair."""
+    """Raised by the set recursion where a chain stalls; carries the
+    failing (c, t) pair."""
 
     def __init__(self, c: frozenset[str], t: frozenset[str]):
         self.pair = (c, t)
         super().__init__(f"not identifiable: c={sorted(c)}, t={sorted(t)}")
 
 
-# -- traces consumed by the derivation compiler --------------------------------
+# -- traces of the set recursion ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,13 @@ class IdentifyTrace:
 
 
 @dataclass(frozen=True)
-class ComputeQTrace:
-    s_blocks: tuple[frozenset[str], ...]
-    identify_traces: tuple[IdentifyTrace, ...]
-
-
-@dataclass(frozen=True)
 class EffectTrace:
+    """The chains behind Q[d]: one per confounded component of ``d``."""
+
     graph: CausalGraph  # after barren-latent removal
     d: frozenset[str]
-    cq: ComputeQTrace
+    s_blocks: tuple[frozenset[str], ...]
+    identify_traces: tuple[IdentifyTrace, ...]
 
 
 # -- operations ------------------------------------------------------------------
@@ -164,13 +161,11 @@ def _assert_single_component(g: CausalGraph, scope: frozenset[str], role: str):
         )
 
 
-def _identify_traced(
-    c: frozenset[str], t: frozenset[str], q_t: QFactor, g: CausalGraph
-) -> tuple[QFactor, IdentifyTrace]:
+def _identify_traced(c: frozenset[str], t: frozenset[str], g: CausalGraph) -> IdentifyTrace:
+    """The (t, a) chain that reduces Q[t] to Q[c]; Unidentifiable when it
+    stalls at a == t."""
     if not c <= t:
         raise GraphError("c must be a subset of t")
-    if q_t.scope != t:
-        raise GraphError("factor scope does not match t")
     _assert_single_component(g, t, "t")
     _assert_single_component(g, c, "c")
 
@@ -179,20 +174,21 @@ def _identify_traced(
         a = g._ancestors_within(c, t)
         levels.append((t, a))
         if a == c:
-            qf = QFactor(c, canonicalize(Sum(t - c, q_t.estimand)))
-            return qf, IdentifyTrace(c=c, levels=tuple(levels))
+            return IdentifyTrace(c=c, levels=tuple(levels))
         if a == t:
             raise Unidentifiable(c, t)
-        # c is a proper subset of a, itself a proper subset of t: shrink to
-        # the component of a that contains c and recurse.
+        # c is a proper subset of a, itself a proper subset of t: go on in
+        # the component of a that contains c.
+        t = next(b for b in _observable_components(g, a) if c <= b)
+
+
+def _reduce(q_t: QFactor, tr: IdentifyTrace, g: CausalGraph) -> ProbExpr:
+    """Fold the factor on the chain's first t down the chain to Q[c]."""
+    for (_, a), (t1, _) in zip(tr.levels, tr.levels[1:]):
         q_a = sum_to_ancestral(q_t, a, g)
-        blocks = _observable_components(g, a)
-        t1 = next(b for b in blocks if c <= b)
-        if not c <= t1:
-            raise GraphError("c straddles components of its ancestral closure")
-        factors = factorize_components(a, q_a, g)
-        q_t = next(f for f in factors if f.scope == t1)
-        t = t1
+        q_t = next(f for f in factorize_components(a, q_a, g) if f.scope == t1)
+    t = tr.levels[-1][0]
+    return canonicalize(Sum(t - tr.c, q_t.estimand))
 
 
 def identify(
@@ -204,59 +200,53 @@ def identify(
     of their latent subgraphs (the callers in this module construct their
     arguments that way; the condition is re-checked defensively).
     """
+    t = frozenset(t)
+    if q_t.scope != t:
+        raise GraphError("factor scope does not match t")
     try:
-        qf, _ = _identify_traced(frozenset(c), frozenset(t), q_t, g)
+        tr = _identify_traced(frozenset(c), t, g)
     except Unidentifiable as u:
         return IdentResult(estimand=None, witness=u.pair)
-    return IdentResult(estimand=qf.estimand, witness=None)
+    return IdentResult(estimand=_reduce(q_t, tr, g), witness=None)
 
 
-def _compute_q_traced(
-    s: frozenset[str], g: CausalGraph
-) -> tuple[IdentResult, ComputeQTrace | None]:
-    # Barren latents can merge confounded components without affecting any
-    # observable, which would desynchronize the block bookkeeping below, so
-    # they are always stripped first (a no-op for preprocessed graphs).
+def _compute_q_traced(s: frozenset[str], g: CausalGraph) -> EffectTrace:
+    # Barren latents cannot affect any observable; they are stripped first
+    # (a no-op for preprocessed graphs), and the trace keeps the stripped
+    # graph that derivations are written against.
     g = g.remove_barren_latents()
     n = frozenset(g.observable_names)
     if not s <= n:
         raise GraphError("s must consist of observable nodes")
-    if not s:
-        return IdentResult(estimand=One(), witness=None), None
 
-    part = c_components(g)
-    q_n = QFactor(n, JointMarginal(n))
-    n_factors = {f.scope: f for f in factorize_components(n, q_n, g)}
+    n_blocks = observable_blocks(c_components(g), g)
+    s_blocks = tuple(_observable_components(g, s))
+    traces = tuple(_identify_traced(sb, next(b for b in n_blocks if sb <= b), g)
+                   for sb in s_blocks)
+    return EffectTrace(graph=g, d=s, s_blocks=s_blocks, identify_traces=traces)
 
-    s_blocks = _observable_components(g, s)
-    factors: list[ProbExpr] = []
-    traces: list[IdentifyTrace] = []
-    for sb in s_blocks:
-        owners = {part.block_of[v] for v in sb}
-        if len(owners) != 1:
-            raise GraphError("component block straddles graph components")
-        nj = part.blocks[owners.pop()] & n
-        try:
-            qf, tr = _identify_traced(sb, nj, n_factors[nj], g)
-        except Unidentifiable as u:
-            return IdentResult(estimand=None, witness=u.pair), None
-        factors.append(qf.estimand)
-        traces.append(tr)
 
-    estimand = factors[0] if len(factors) == 1 else Product(factors)
-    trace = ComputeQTrace(s_blocks=tuple(s_blocks), identify_traces=tuple(traces))
-    return IdentResult(estimand=estimand, witness=None), trace
+def _q_estimand(tr: EffectTrace) -> ProbExpr:
+    """Q[d] as the product of the reduced component factors of Q[n]."""
+    if not tr.identify_traces:
+        return One()
+    g = tr.graph
+    n = frozenset(g.observable_names)
+    n_factors = {f.scope: f for f in factorize_components(n, QFactor(n, JointMarginal(n)), g)}
+    factors = [_reduce(n_factors[it.levels[0][0]], it, g) for it in tr.identify_traces]
+    return factors[0] if len(factors) == 1 else Product(factors)
 
 
 def compute_q(s: Iterable[str], g: CausalGraph) -> IdentResult:
     """Identify the effect of all other observables on ``s``."""
-    res, _ = _compute_q_traced(frozenset(s), g)
-    return res
+    try:
+        tr = _compute_q_traced(frozenset(s), g)
+    except Unidentifiable as u:
+        return IdentResult(estimand=None, witness=u.pair)
+    return IdentResult(estimand=_q_estimand(tr), witness=None)
 
 
-def _causal_effect_traced(
-    t: frozenset[str], s: frozenset[str], g: CausalGraph
-) -> tuple[IdentResult, EffectTrace | None]:
+def _causal_effect_traced(t: frozenset[str], s: frozenset[str], g: CausalGraph) -> EffectTrace:
     if not s:
         raise GraphError("outcome set s must be nonempty")
     if t & s:
@@ -264,26 +254,10 @@ def _causal_effect_traced(
     for v in t | s:
         if not g.is_observable(v):
             raise GraphError(f"query variable {v!r} is latent")
-
-    g = g.remove_barren_latents()
+    # No barren latent is an ancestor of an observable, so d is the same
+    # with or without them.
     n = frozenset(g.observable_names)
-    d = g._ancestors_within(s, n - t)
-
-    res, cq = _compute_q_traced(d, g)
-    if not res.identifiable:
-        return res, None
-
-    raw: ProbExpr = canonicalize(Sum(d - s, res.estimand))
-    # Chain-rule prefixes can mention observables that are neither outcomes
-    # nor interventions; the value does not depend on them (they are
-    # non-ancestors of the outcome once t is held fixed), so averaging them
-    # out under their observational marginal pins the estimand to s and t.
-    extras = free_vars(raw) - (s | t)
-    if extras:
-        raw = Sum(extras, Product([JointMarginal(extras), raw]))
-    estimand = simplify(canonicalize(raw))
-    trace = EffectTrace(graph=g, d=d, cq=cq)
-    return IdentResult(estimand=estimand, witness=None), trace
+    return _compute_q_traced(g._ancestors_within(s, n - t), g)
 
 
 def causal_effect(t: Iterable[str], s: Iterable[str], g: CausalGraph) -> IdentResult:
@@ -294,5 +268,17 @@ def causal_effect(t: Iterable[str], s: Iterable[str], g: CausalGraph) -> IdentRe
     observational expression whose free variables are exactly within
     ``s`` and ``t``; on failure the witness names the failing (c, t) pair.
     """
-    res, _ = _causal_effect_traced(frozenset(t), frozenset(s), g)
-    return res
+    t, s = frozenset(t), frozenset(s)
+    try:
+        tr = _causal_effect_traced(t, s, g)
+    except Unidentifiable as u:
+        return IdentResult(estimand=None, witness=u.pair)
+    raw: ProbExpr = canonicalize(Sum(tr.d - s, _q_estimand(tr)))
+    # Chain-rule prefixes can mention observables that are neither outcomes
+    # nor interventions; the value does not depend on them (they are
+    # non-ancestors of the outcome once t is held fixed), so averaging them
+    # out under their observational marginal pins the estimand to s and t.
+    extras = free_vars(raw) - (s | t)
+    if extras:
+        raw = Sum(extras, Product([JointMarginal(extras), raw]))
+    return IdentResult(estimand=simplify(canonicalize(raw)), witness=None)

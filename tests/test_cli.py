@@ -234,6 +234,12 @@ class TestCComp:
         blocks = json.loads(capsys.readouterr().out)
         assert blocks == [["Z"], ["Y", "U"]]
 
+    def test_latent_scope_names_the_command(self, graphs, capsys):
+        code = main(["ccomp", "--graph", graphs["fd"], "--scope", "U"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: c_components() requires observable nodes, got latent 'U'\n"
+
 
 class TestOracle:
     def test_verify_frontdoor(self, graphs, capsys):
@@ -428,6 +434,16 @@ MALFORMED = {
         "fragment -1 is out of range"),
     "fragment refers to itself": (_set_fragment_ref(0), "refers to itself"),
     "fragment refers forward": (_set_fragment_ref(1), "before it is defined"),
+    "query do empty": (lambda d: d["query"].update(do=[]),
+                       "query: 'do' and 'on' must be nonempty"),
+    "query on empty": (lambda d: d["query"].update(on=[]),
+                       "query: 'do' and 'on' must be nonempty"),
+    "query sets overlap": (lambda d: d["query"].update(on=["X", "Y"]),
+                           "query: 'X' is in both 'do' and 'on'"),
+    "query unknown variable": (lambda d: d["query"].update(on=["Q"]),
+                               "query: 'Q' is not an observable node"),
+    "query latent variable": (lambda d: d["query"].update(do=["U"]),
+                              "query: 'U' is not an observable node"),
 }
 
 

@@ -73,11 +73,20 @@ class TestDeriveFixtures:
         assert final_agrees_with_estimand(d, res, g_frontdoor)
 
     def test_bow_mirrors_identification_failure(self, g_bow):
-        d = derive_effect({"X"}, {"Y"}, g_bow)
-        res = causal_effect({"X"}, {"Y"}, g_bow)
-        assert not isinstance(d, Derivation)
-        assert not d.identifiable
-        assert d.witness == res.witness
+        # The bow graph, then seeded random queries that are not identifiable.
+        cases = [(g_bow, {"X"}, {"Y"})]
+        rng = np.random.default_rng(5)
+        while len(cases) < 9:
+            g = random_dag(rng, n_obs=5, n_lat=3)
+            t, s = map(str, rng.choice(g.observable_names, 2, replace=False))
+            if not causal_effect({t}, {s}, g).identifiable:
+                cases.append((g, {t}, {s}))
+        for g, t, s in cases:
+            d = derive_effect(t, s, g)
+            res = causal_effect(t, s, g)
+            assert not isinstance(d, Derivation)
+            assert not d.identifiable
+            assert d.witness == res.witness
 
     def test_no_rule1_steps(self, g_backdoor, g_frontdoor):
         for g in (g_backdoor, g_frontdoor):

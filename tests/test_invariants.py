@@ -192,6 +192,14 @@ def sparse_latent_graph(rng, n_obs=20, window=3, latent_children=2):
     return CausalGraph.build(obs, lat + ["B"], sorted(edges))
 
 
+def sparse_queries():
+    """A seeded sparse latent DAG and six single-variable queries on it."""
+    rng = np.random.default_rng(2)
+    g = sparse_latent_graph(rng)
+    return g, [({f"V{int(rng.integers(0, 10))}"}, {f"V{int(rng.integers(10, 20))}"})
+               for _ in range(6)]
+
+
 class TestNoGraphBuilds:
     """Scoped structure questions are walks on the parsed graph: identifying
     and deriving an effect builds no graph beyond barren-latent removal."""
@@ -228,10 +236,7 @@ class TestNoGraphBuilds:
         assert self.builds(monkeypatch, run) == 0
 
     def test_sparse_latent_dag(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        g = sparse_latent_graph(rng)
-        queries = [({f"V{int(rng.integers(0, 10))}"}, {f"V{int(rng.integers(10, 20))}"})
-                   for _ in range(6)]
+        g, queries = sparse_queries()
         assert len(g.remove_barren_latents()) < len(g)
         results = []
 
@@ -242,3 +247,34 @@ class TestNoGraphBuilds:
 
         assert self.builds(monkeypatch, run) == 0
         assert any(results)
+
+
+class TestDeriveBuildsNoExpression:
+    """A derivation replays the set trace of the identification recursion:
+    deriving an effect, or finding it not identifiable, builds no estimand."""
+
+    @staticmethod
+    def forbid_building(m):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an estimand was built")
+
+        for name in ("canonicalize", "simplify", "factorize_components", "sum_to_ancestral"):
+            m.setattr(f"causalid.ident.{name}", refuse)
+
+    def test_derive_reads_only_the_trace(self, g_frontdoor, g_bow, monkeypatch):
+        g, queries = sparse_queries()
+        cases = [(g_frontdoor, {"X"}, {"Y"}), (g_bow, {"X"}, {"Y"})]
+        cases += [(g, t, s) for t, s in queries]
+        want = [derive_effect(t, s, g) for g, t, s in cases]
+        assert any(isinstance(d, Derivation) for d in want)
+        assert any(not isinstance(d, Derivation) for d in want)
+        with monkeypatch.context() as m:
+            self.forbid_building(m)
+            assert [derive_effect(t, s, g) for g, t, s in cases] == want
+
+    def test_bow_witness_builds_nothing(self, g_bow, monkeypatch):
+        want = causal_effect({"X"}, {"Y"}, g_bow)
+        with monkeypatch.context() as m:
+            self.forbid_building(m)
+            got = causal_effect({"X"}, {"Y"}, g_bow)
+        assert got == want and got.witness is not None
