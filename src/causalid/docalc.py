@@ -59,7 +59,6 @@ from .graph import CausalGraph, GraphError, json_field, json_names
 from .ident import (
     IdentResult,
     IdentifyTrace,
-    Unidentifiable,
     _causal_effect_traced,
     _observable_components,
 )
@@ -523,10 +522,9 @@ def derive_effect(
     t, s = frozenset(t), frozenset(s)
     if not t:
         raise GraphError("derivations require a nonempty do-set")
-    try:
-        trace = _causal_effect_traced(t, s, g)
-    except Unidentifiable as u:
-        return IdentResult(estimand=None, witness=u.pair)
+    res, trace = _causal_effect_traced(t, s, g)
+    if not res.identifiable:
+        return res
     g2 = trace.graph
     n = frozenset(g2.observable_names)
 

@@ -51,27 +51,29 @@ class QFactor:
 
 @dataclass(frozen=True)
 class IdentResult:
-    """Outcome of an identification query.
-
-    Either ``estimand`` is set (identifiable) or ``witness`` carries the
-    innermost failing (c, t) pair of the recursion.
-    """
+    """Outcome of an identification query: ``witness`` is the innermost
+    failing (c, t) pair of the recursion, or None when the effect is
+    identifiable, and then ``estimand`` is set (save in the bare decision
+    that :func:`_causal_effect_traced` returns)."""
 
     estimand: ProbExpr | None
     witness: tuple[frozenset[str], frozenset[str]] | None
 
     @property
     def identifiable(self) -> bool:
-        return self.estimand is not None
+        return self.witness is None
 
 
 class Unidentifiable(Exception):
-    """Raised by the set recursion where a chain stalls; carries the
-    failing (c, t) pair."""
+    """Raised where a set chain stalls, with the failing (c, t) pair."""
 
     def __init__(self, c: frozenset[str], t: frozenset[str]):
         self.pair = (c, t)
         super().__init__(f"not identifiable: c={sorted(c)}, t={sorted(t)}")
+
+    @property
+    def result(self) -> IdentResult:
+        return IdentResult(estimand=None, witness=self.pair)
 
 
 # -- traces of the set recursion ------------------------------------------------
@@ -163,12 +165,7 @@ def _assert_single_component(g: CausalGraph, scope: frozenset[str], role: str):
 
 def _identify_traced(c: frozenset[str], t: frozenset[str], g: CausalGraph) -> IdentifyTrace:
     """The (t, a) chain that reduces Q[t] to Q[c]; Unidentifiable when it
-    stalls at a == t."""
-    if not c <= t:
-        raise GraphError("c must be a subset of t")
-    _assert_single_component(g, t, "t")
-    _assert_single_component(g, c, "c")
-
+    stalls at a == t.  ``t`` and ``c`` are each one confounded component."""
     levels: list[tuple[frozenset[str], frozenset[str]]] = []
     while True:
         a = g._ancestors_within(c, t)
@@ -197,23 +194,26 @@ def identify(
     """Reduce the factor on ``t`` to one on ``c`` when possible.
 
     Both ``t`` and ``c`` must each lie inside a single confounded component
-    of their latent subgraphs (the callers in this module construct their
-    arguments that way; the condition is re-checked defensively).
+    of their latent subgraphs; this is checked here, as the set recursion
+    and its callers in this module take it for granted.
     """
-    t = frozenset(t)
+    c, t = frozenset(c), frozenset(t)
     if q_t.scope != t:
         raise GraphError("factor scope does not match t")
+    if not c <= t:
+        raise GraphError("c must be a subset of t")
+    _assert_single_component(g, t, "t")
+    _assert_single_component(g, c, "c")
     try:
-        tr = _identify_traced(frozenset(c), t, g)
+        tr = _identify_traced(c, t, g)
     except Unidentifiable as u:
-        return IdentResult(estimand=None, witness=u.pair)
+        return u.result
     return IdentResult(estimand=_reduce(q_t, tr, g), witness=None)
 
 
 def _compute_q_traced(s: frozenset[str], g: CausalGraph) -> EffectTrace:
-    # Barren latents cannot affect any observable; they are stripped first
-    # (a no-op for preprocessed graphs), and the trace keeps the stripped
-    # graph that derivations are written against.
+    # Barren latents cannot affect any observable; the trace keeps the
+    # stripped graph that derivations are written against.
     g = g.remove_barren_latents()
     n = frozenset(g.observable_names)
     if not s <= n:
@@ -242,11 +242,14 @@ def compute_q(s: Iterable[str], g: CausalGraph) -> IdentResult:
     try:
         tr = _compute_q_traced(frozenset(s), g)
     except Unidentifiable as u:
-        return IdentResult(estimand=None, witness=u.pair)
+        return u.result
     return IdentResult(estimand=_q_estimand(tr), witness=None)
 
 
-def _causal_effect_traced(t: frozenset[str], s: frozenset[str], g: CausalGraph) -> EffectTrace:
+def _causal_effect_traced(
+    t: frozenset[str], s: frozenset[str], g: CausalGraph
+) -> tuple[IdentResult, EffectTrace | None]:
+    """The decision on P_t(s), without an estimand, and its trace."""
     if not s:
         raise GraphError("outcome set s must be nonempty")
     if t & s:
@@ -257,7 +260,10 @@ def _causal_effect_traced(t: frozenset[str], s: frozenset[str], g: CausalGraph) 
     # No barren latent is an ancestor of an observable, so d is the same
     # with or without them.
     n = frozenset(g.observable_names)
-    return _compute_q_traced(g._ancestors_within(s, n - t), g)
+    try:
+        return IdentResult(None, None), _compute_q_traced(g._ancestors_within(s, n - t), g)
+    except Unidentifiable as u:
+        return u.result, None
 
 
 def causal_effect(t: Iterable[str], s: Iterable[str], g: CausalGraph) -> IdentResult:
@@ -269,10 +275,9 @@ def causal_effect(t: Iterable[str], s: Iterable[str], g: CausalGraph) -> IdentRe
     ``s`` and ``t``; on failure the witness names the failing (c, t) pair.
     """
     t, s = frozenset(t), frozenset(s)
-    try:
-        tr = _causal_effect_traced(t, s, g)
-    except Unidentifiable as u:
-        return IdentResult(estimand=None, witness=u.pair)
+    res, tr = _causal_effect_traced(t, s, g)
+    if not res.identifiable:
+        return res
     raw: ProbExpr = canonicalize(Sum(tr.d - s, _q_estimand(tr)))
     # Chain-rule prefixes can mention observables that are neither outcomes
     # nor interventions; the value does not depend on them (they are
