@@ -126,6 +126,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_check(args) -> int:
     _at_least("--models", args.models, 0)
+    _at_least("--seed", args.seed, 0)
     _check_tolerance(args.tolerance, "--tolerance")
     data = json.loads(Path(args.derivation).read_text())
     d = derivation_from_json(data)
@@ -173,7 +174,7 @@ def _cmd_dsep(args) -> int:
 
 def _cmd_ccomp(args) -> int:
     g = _load_graph(args.graph)
-    partition = c_components(g, _names(g, args.scope) if args.scope else None)
+    partition = c_components(g, _names(g, args.scope) if args.scope is not None else None)
     blocks = [list(g.sorted_nodes(b)) for b in partition.blocks]
     print(json.dumps(blocks))
     return EXIT_OK
@@ -181,6 +182,7 @@ def _cmd_ccomp(args) -> int:
 
 def _cmd_oracle_verify(args) -> int:
     _at_least("--trials", args.trials, 1)
+    _at_least("--seed", args.seed, 0)
     _check_tolerance(args.tolerance, "--tolerance")
     g = _load_graph(args.graph)
     t = _names(g, args.do)

@@ -8,6 +8,13 @@ moves (with factor substitutions carrying nested derivations for the
 inductive regrouping).  Rule 1 is never emitted; where its condition holds,
 rules 2 and 3 suffice (see :func:`expand_rule1`).
 
+The compiler writes three sorts of fragment: one per component factor of
+the outcome's ancestral closure, which reduces it through its
+identification chain (a component that is its own covering set uses its
+level's fragment); one per level of a chain, written once per chain prefix
+and shared by every factor that expands to it; and the regroupings of a
+factor into the product of its confounded components.
+
 A step is its local rewrite: the path to the rewritten subexpression and
 that subexpression before and after, the same in memory as in a derivation
 file.  A derivation holds its initial expression, and every later state is
@@ -56,12 +63,7 @@ from .expr import (
     iter_leaves,
 )
 from .graph import CausalGraph, GraphError, json_field, json_names
-from .ident import (
-    IdentResult,
-    IdentifyTrace,
-    _causal_effect_traced,
-    _observable_components,
-)
+from .ident import IdentResult, _causal_effect_traced, _observable_components
 from .oracle import DoEvaluator, _check_tolerance, random_model
 from .sep import RuleInstance, rule_applicable
 
@@ -358,25 +360,6 @@ def _grouped_factorization_derivation(
     return w.state, w.derivation()
 
 
-def _emit_expand(w: _Writer, path: Path, scope: frozenset[str],
-                 start: frozenset[str]) -> Path:
-    """Reverse ancestral reduction: rewrite the factor sentence on ``start``
-    into a sum of the factor sentence on ``scope``.  Returns the path of the
-    scope sentence.
-
-    Rule 3 deletes the actions on Z = scope - start at once: with the edges
-    into the remaining actions and into Z cut, a path from Z without a
-    collider is directed, and a directed path from Z into ``start`` would
-    make a member of Z an ancestor of ``start`` inside ``scope``, in which
-    ``start`` is ancestral."""
-    z = scope - start
-    if not z:
-        return path
-    w.rule3(path, z)
-    w.marginalize(path, z)
-    return path + ("body",)
-
-
 def _emit_block_to_prefixes(
     w: _Writer, scope: frozenset[str], block: frozenset[str], path: Path
 ) -> list[Path]:
@@ -422,90 +405,53 @@ def _emit_block_to_prefixes(
 
 # -- generator --------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _LevelPlan:
-    """Factorize the chain's covering set at level ``k`` into prefix ratios."""
-
-    tr: IdentifyTrace
-    k: int
-
-
-@dataclass(frozen=True)
-class _PrefixPlan:
-    """Expand a prefix factor back over its decomposition scope; at
-    ``k = len(tr.levels)``, a component factor over its covering set."""
-
-    tr: IdentifyTrace
-    k: int
+# The levels ((t_0, a_0), ..., (t_k, a_k)) of an identification chain up to
+# level k.
+Levels = tuple[tuple[frozenset[str], frozenset[str]], ...]
+# The fragment of each chain level, keyed by the chain prefix
+# (t_0, a_0, ..., a_{k-1}, t_k) that is all it depends on.
+Memo = dict[tuple[Levels, frozenset[str]], tuple[DoExpr, Derivation]]
 
 
-class _Reducer:
-    """Builds the reduction fragments of one derivation: one fragment per
-    distinct (sentence, plan) pair, so that repeat occurrences are rewritten
-    by a single substitution step carrying the fragment as its
-    justification, which keeps the main derivation and every fragment small
-    even when the recursion revisits a factor.  A class, not closures:
-    closures that call each other form a reference cycle that would keep
-    every fragment alive until a full garbage collection."""
+def _reduce_factor(w: _Writer, path: Path, levels: Levels, memo: Memo) -> None:
+    """Rewrite the factor sentence at ``path`` into an observational
+    expression: expand it to the covering set of the last of ``levels``
+    (to all observables when there are none), then substitute that level's
+    fragment if the expanded sentence still has actions.
 
-    def __init__(self, graph: CausalGraph):
-        self.graph = graph
-        self.n = frozenset(graph.observable_names)
-        self.memo: dict[tuple[DoSentence, object], tuple[DoExpr, Derivation]] = {}
-        self.in_progress: set[tuple[DoSentence, object]] = set()
+    The expansion reverses an ancestral reduction, and the factor's scope
+    is ancestral in the covering set.  Rule 3 deletes the actions on
+    Z = covering set - scope at once: with the edges into the remaining
+    actions and into Z cut, a path from Z without a collider is directed,
+    and a directed path from Z into the scope would make a member of Z an
+    ancestor of the scope inside the covering set."""
+    cover = levels[-1][0] if levels else frozenset(w.graph.observable_names)
+    z = cover - w.at(path).outcome
+    if z:
+        w.rule3(path, z)
+        w.marginalize(path, z)
+        path += ("body",)
+    if w.at(path).do:
+        final, fragment = _level_fragment(w.graph, levels, memo)
+        w.apply(SUBSTITUTE, path, final, Substitution(fragment))
 
-    def run_plan(self, wr: _Writer, path: Path, plan) -> list[tuple[Path, object]]:
-        """Execute one reduction stage; returns worklist items for the
-        pending sentences it leaves behind."""
-        n = self.n
-        if isinstance(plan, _LevelPlan):
-            tr, k = plan.tr, plan.k
-            dec_scope = n if k == 0 else tr.levels[k - 1][1]
-            leaves = _emit_block_to_prefixes(wr, dec_scope, tr.levels[k][0], path)
-            return [(leaf, _PrefixPlan(tr, k)) for leaf in leaves]
-        if isinstance(plan, _PrefixPlan):
-            tr, k = plan.tr, plan.k
-            # A prefix is ancestral in the closure set, and the closure set
-            # in its covering block: expand straight to the block.
-            scope = n if k == 0 else tr.levels[k - 1][0]
-            start = wr.at(path).outcome
-            leaf = _emit_expand(wr, path, scope, start)
-            if k == 0:
-                return []  # the full-joint sentence is observational
-            if scope == start:
-                # Only a component that is its own covering set: go straight
-                # to its factorization.
-                return self.run_plan(wr, path, _LevelPlan(tr, k - 1))
-            return [(leaf, _LevelPlan(tr, k - 1))]
-        raise GraphError(f"internal error: unknown plan {plan!r}")
 
-    def reduce_items(self, wr: _Writer, items: list[tuple[Path, object]]):
-        # Leaf substitution never moves sibling paths, so the recorded
-        # worklist positions stay valid throughout.
-        for path, plan in items:
-            sentence = wr.at(path)
-            if not sentence.do:
-                continue
-            final, fragment = self.fragment_for(sentence, plan)
-            wr.apply(SUBSTITUTE, path, final, Substitution(fragment))
-
-    def fragment_for(self, sentence: DoSentence, plan) -> tuple[DoExpr, Derivation]:
-        key = (sentence, plan)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if key in self.in_progress:
-            raise GraphError(f"internal error: cyclic reduction of {sentence}")
-        self.in_progress.add(key)
-        wf = _Writer(self.graph, sentence)
-        self.reduce_items(wf, self.run_plan(wf, (), plan))
-        self.in_progress.discard(key)
-        if not wf.steps:
-            raise GraphError(f"internal error: empty reduction for {sentence}")
-        result = (wf.state, wf.derivation())
-        self.memo[key] = result
-        return result
+def _level_fragment(g: CausalGraph, levels: Levels, memo: Memo) -> tuple[DoExpr, Derivation]:
+    """Q[t_k], for the last level (t_k, a_k) of ``levels``, written as
+    ratios of factors on prefixes of its decomposition scope (a_{k-1}, or
+    all observables at k = 0), each reduced through the levels before; and
+    the fragment that derives it.  Built once per chain prefix, and shared
+    by every factor that expands to it."""
+    t, outer = levels[-1][0], levels[:-1]
+    hit = memo.get((outer, t))
+    if hit is None:
+        w = _Writer(g, _q_sentence(g, t))
+        scope = outer[-1][1] if outer else frozenset(g.observable_names)
+        # Rewriting at one leaf moves no other leaf, so the paths stay valid.
+        for leaf in _emit_block_to_prefixes(w, scope, t, ()):
+            _reduce_factor(w, leaf, outer, memo)
+        hit = memo[outer, t] = (w.state, w.derivation())
+    return hit
 
 
 def derive_effect(
@@ -541,16 +487,27 @@ def derive_effect(
     # Phase C: split the closure factor into its confounded components.
     _emit_grouped_factorization(w, d, list(trace.s_blocks), leaf)
 
-    # Phase D: reduce each component factor through its identification
-    # chain, sharing one fragment per distinct sentence and plan.
-    plan_of = {
-        _q_sentence(g2, sb): _PrefixPlan(tr, len(tr.levels))
+    # Phase D: replace each component factor by one substitution step, whose
+    # fragment reduces it through its identification chain.
+    levels_of = {
+        _q_sentence(g2, sb): tr.levels
         for sb, tr in zip(trace.s_blocks, trace.identify_traces)
     }
+    memo: Memo = {}
     node = w.at(leaf)
-    paths = ([leaf + (i,) for i in range(len(node.factors))]
-             if isinstance(node, Product) else [leaf])
-    _Reducer(g2).reduce_items(w, [(p, plan_of[w.at(p)]) for p in paths])
+    for p in ([leaf + (i,) for i in range(len(node.factors))]
+              if isinstance(node, Product) else [leaf]):
+        factor = w.at(p)
+        levels = levels_of[factor]
+        if factor.outcome == levels[-1][0]:
+            # A component that is its own covering set needs no expansion:
+            # its fragment would hold only the level's substitution.
+            final, fragment = _level_fragment(g2, levels, memo)
+        else:
+            wf = _Writer(g2, factor)
+            _reduce_factor(wf, (), levels, memo)
+            final, fragment = wf.state, wf.derivation()
+        w.apply(SUBSTITUTE, p, final, Substitution(fragment))
     return w.derivation(query=(t, s))
 
 

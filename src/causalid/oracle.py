@@ -19,7 +19,7 @@ import numpy as np
 
 from .expr import DoSentence, JointMarginal, PositivityError, _grid, evaluate_grid, free_vars
 from .graph import CausalGraph, GraphError
-from .ident import _observable_components, causal_effect
+from .ident import _causal_effect_traced, _observable_components
 from .sep import SeparationQuery
 from .tables import MAX_STATES, EnumerationLimitError, JointTable
 
@@ -562,7 +562,7 @@ def witness_search(g: CausalGraph, t: Iterable[str], s: Iterable[str]) -> Witnes
     positive observational joints.  None for an identifiable effect or when
     no hedge passes."""
     t_vars, s_vars = frozenset(t), frozenset(s)
-    res = causal_effect(t_vars, s_vars, g)
+    res, _ = _causal_effect_traced(t_vars, s_vars, g)
     if res.identifiable:
         return None
     c, t_fail = res.witness

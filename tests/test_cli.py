@@ -183,6 +183,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --models must be at least 0, got -1\n"
         assert main(["check", "--derivation", str(out), "--models", "0"]) == 0
 
+    def test_negative_seed_rejected(self, graphs, tmp_path, capsys):
+        # numpy refused a negative seed with a message that named no flag.
+        out = tmp_path / "d.json"
+        main(["derive", "--graph", graphs["bd"], "--do", "X", "--on", "Y", "--out", str(out)])
+        capsys.readouterr()
+        for argv in (["check", "--derivation", str(out)],
+                     ["oracle", "verify", "--graph", graphs["bd"], "--do", "X", "--on", "Y"]):
+            assert main(argv + ["--seed", "-1"]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: --seed must be at least 0, got -1\n")
+            assert main(argv + ["--seed", "0"]) == 0
+            capsys.readouterr()
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_tolerance_must_be_finite_and_nonnegative(self, graphs, tmp_path, capsys,
                                                       tolerance):
@@ -233,6 +246,12 @@ class TestCComp:
         assert code == 0
         blocks = json.loads(capsys.readouterr().out)
         assert blocks == [["Z"], ["Y", "U"]]
+
+    def test_empty_scope_has_no_blocks(self, graphs, capsys):
+        # The latent subgraph over no observables has no blocks; it is not
+        # the whole graph.
+        assert main(["ccomp", "--graph", graphs["fd"], "--scope"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
 
     def test_latent_scope_names_the_command(self, graphs, capsys):
         code = main(["ccomp", "--graph", graphs["fd"], "--scope", "U"])
@@ -595,9 +614,8 @@ class TestGoldenOutput:
     """
 
     STDOUT = "d276d05bf008f03889c9179b3aae8f0606d7d38900ced2cc322e6fe55941a40c"
-    FILES = "99d5db7122aacfa0668481a4372247477439ad0af6a553b745bdeaddb8fdd760"
+    FILES = "65be95af804802c66f2dfd475b6fa0e91227414b135cce7c0592a95380de3aa7"
 
     def test_outputs_match_recorded_hash(self, tmp_path):
         stdout, files = golden_digests(tmp_path)
-        assert stdout == self.STDOUT, stdout
-        assert files == self.FILES, files
+        assert (stdout, files) == (self.STDOUT, self.FILES)

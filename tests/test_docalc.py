@@ -24,7 +24,7 @@ from causalid.docalc import (
 )
 from causalid.cli import main
 from causalid.expr import One, Quotient, Sum, evaluate_grid, expr_to_json, free_vars
-from causalid.graph import GraphError
+from causalid.graph import CausalGraph, GraphError
 from causalid.ident import causal_effect
 from causalid.oracle import DoEvaluator, observational_joint, random_model
 from causalid.sep import RuleInstance, rule_applicable
@@ -363,11 +363,20 @@ def nested_fragments(d):
             yield step.justification.derivation
 
 
+# A draw whose identification chain has two levels: the chains of N0 and N3
+# both start at the component {N0, N1, N3}, so they share its fragment.
+DEPTH_TWO = CausalGraph(
+    [("N0", True), ("N1", True), ("N2", True), ("N3", True), ("U0", False), ("U1", False)],
+    [("N0", "N1"), ("N2", "N3"), ("N2", "U0"), ("N3", "N0"), ("N3", "N1"), ("U0", "N1"),
+     ("U0", "N3"), ("U1", "N0"), ("U1", "N1")],
+)
+
+
 def sweep_derivations():
     """The derivations of the 60-graph random sweep above, then of 40 draws
     whose outcome sets leave out some of the unfixed observables, so that
     the query is marginalized and actions are inserted on the observables
-    outside the outcome's ancestral closure."""
+    outside the outcome's ancestral closure, then of the two-level draw."""
     rng = np.random.default_rng(123)
     for _ in range(60):
         g = random_dag(rng, n_obs=int(rng.integers(2, 6)),
@@ -389,6 +398,7 @@ def sweep_derivations():
         d = derive_effect(frozenset(obs[:n_t]), frozenset(obs[n_t:n_t + n_s]), g)
         if isinstance(d, Derivation):
             yield d
+    yield derive_effect({"N1"}, {"N0", "N2", "N3"}, DEPTH_TWO)
 
 
 def unique_derivations(d):
@@ -481,6 +491,30 @@ class TestSetMutations:
                         assert (verdict.accepted, verdict.step) == (False, i)
                         marginalize += 1
         assert rule3 and marginalize
+
+
+class TestRetargetedFragments:
+    """A substitution that refers to a fragment proving another equality is
+    caught, although that fragment is itself accepted."""
+
+    def test_retargeted_reference_rejected(self):
+        retargeted = 0
+        for d in sweep_derivations():
+            fragments = unique_derivations(d)[1:]
+            for dd in unique_derivations(d):
+                for i, step in enumerate(dd.steps):
+                    if not isinstance(step.justification, Substitution):
+                        continue
+                    nested = step.justification.derivation
+                    for other in fragments:
+                        if (other.initial, other.final) == (nested.initial, nested.final):
+                            continue
+                        bad = replace(step, justification=Substitution(other))
+                        verdict = verify_derivation(with_step(dd, i, bad), models=0)
+                        assert (verdict.accepted, verdict.step) == (False, i)
+                        assert verdict.reason == "nested derivation endpoints do not match the site"
+                        retargeted += 1
+        assert retargeted >= 500
 
 
 class TestLifetime:

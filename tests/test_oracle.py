@@ -219,6 +219,15 @@ class TestWitnessSearch:
     def test_identifiable_graph_yields_none(self, g_backdoor):
         assert witness_search(g_backdoor, {"X"}, {"Y"}) is None
 
+    def test_identifiable_query_builds_no_estimand(self, g_frontdoor, monkeypatch):
+        # The search needs only the decision, not the estimand.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an estimand was built")
+
+        for name in ("canonicalize", "simplify"):
+            monkeypatch.setattr(f"causalid.ident.{name}", refuse)
+        assert witness_search(g_frontdoor, {"X"}, {"Y"}) is None
+
     def test_deterministic(self, g_bow):
         a = witness_search(g_bow, {"X"}, {"Y"})
         b = witness_search(g_bow, {"X"}, {"Y"})
