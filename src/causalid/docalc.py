@@ -64,7 +64,7 @@ from .expr import (
 )
 from .graph import CausalGraph, GraphError, json_field, json_names
 from .ident import IdentResult, _causal_effect_traced, _observable_components
-from .oracle import DoEvaluator, _check_tolerance, random_model
+from .oracle import DoEvaluator, _check_tolerance, _per_model_max, _seed_batches, random_model
 from .sep import RuleInstance, rule_applicable
 
 __all__ = [
@@ -763,11 +763,12 @@ def _check_step(step: DerivationStep, graph: CausalGraph,
         frees = sorted(free_vars(b) | free_vars(a))
         for ev in evaluators:
             try:
-                err = float(np.max(np.abs(ev.grid(b, frees) - ev.grid(a, frees))))
+                diff = np.abs(ev.grid(b, frees) - ev.grid(a, frees))
             except PositivityError as exc:
                 raise _Mismatch(f"numeric check failed: {exc}") from None
-            if err > tolerance:
-                raise _Mismatch(f"numeric check failed: sides differ by {err:.3e}")
+            for err in _per_model_max(diff, ev.m.batch):
+                if err > tolerance:
+                    raise _Mismatch(f"numeric check failed: sides differ by {err:.3e}")
 
 
 def _verify_structure(
@@ -812,16 +813,18 @@ def verify_derivation(
     Chaining, per-step structural schemas, and every separation condition
     are recomputed without trusting the generator; in addition the changed
     subexpression of each step is evaluated on ``models`` random positive
-    models and both sides must agree within ``tolerance`` on every
-    assignment of their free variables.  ``tolerance`` must be a finite
-    number >= 0.
+    models (seeds ``seed`` onward, stacked and evaluated together) and both
+    sides must agree within ``tolerance`` on every assignment of their free
+    variables; a rejection reports the first disagreeing model in seed
+    order.  ``tolerance`` must be a finite number >= 0.
     """
     _check_tolerance(tolerance)
     evaluators = None
     if models > 0:
-        evaluators = [
-            DoEvaluator(random_model(d.graph, seed=seed + i)) for i in range(models)
-        ]
+        # One evaluator per chunk of stacked models: one for any graph small
+        # enough that all of them fit in MAX_STATES joint cells.
+        evaluators = [DoEvaluator(random_model(d.graph, seed=seeds))
+                      for seeds in _seed_batches(d.graph, seed, models)]
     return _verify_structure(d, evaluators, tolerance, {})[0]
 
 

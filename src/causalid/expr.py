@@ -170,9 +170,10 @@ def iter_leaves(e):
 def evaluate_grid(e, joint: JointTable, free: Sequence[str]) -> np.ndarray:
     """Vectorized evaluation over the full grid of ``free`` assignments.
 
-    Returns an array with one axis per entry of ``free`` (in that order).
-    ``joint`` must be the full observational table; summation ranges come
-    from its variable domains.
+    Returns an array with one axis per entry of ``free`` (in that order),
+    after one leading axis per model axis of ``joint``.  ``joint`` must be
+    the full observational table; summation ranges come from its variable
+    domains.
     """
 
     def leaf(e, env, ndim):
@@ -184,18 +185,21 @@ def evaluate_grid(e, joint: JointTable, free: Sequence[str]) -> np.ndarray:
 
 
 def _grid(e, joint: JointTable, leaf_fn: Callable, free: Sequence[str]) -> np.ndarray:
-    """Evaluate ``e`` over the grid of ``free``, whose domains come from
-    ``joint``; ``leaf_fn(leaf, env, ndim)`` returns each non-``One`` leaf
-    shaped to broadcast into the grid."""
+    """Evaluate ``e`` over the grid of ``free``, whose domains and model
+    axes come from ``joint``; ``leaf_fn(leaf, env, ndim)`` returns each
+    non-``One`` leaf shaped to broadcast into the grid."""
     if not free_vars(e) <= set(free):
         raise ValueError("free must cover the expression's free variables")
     env = {v: i for i, v in enumerate(free)}
-    shape = tuple(joint.card(v) for v in free)
-    out = _eval_nd(e, joint, leaf_fn, env, len(shape))
+    shape = joint.batch + tuple(joint.card(v) for v in free)
+    out = _eval_nd(e, joint, leaf_fn, env, len(free))
     return np.broadcast_to(out, shape).copy() if shape else np.asarray(out)
 
 
 def _eval_nd(e, joint, leaf_fn, env: dict[str, int], ndim: int) -> np.ndarray:
+    """``e`` over a grid of ``ndim`` axes, with variable ``v`` on axis
+    ``env[v]``.  The grid axes are the last ``ndim`` of each array, so model
+    axes in front of them ride along; axes below are counted from the end."""
     if isinstance(e, One):
         return np.ones((1,) * ndim) if ndim else np.float64(1.0)
     if isinstance(e, Sum):
@@ -209,9 +213,9 @@ def _eval_nd(e, joint, leaf_fn, env: dict[str, int], ndim: int) -> np.ndarray:
             res = res.reshape((1,) * (inner_ndim - res.ndim) + res.shape)
         # A bound variable the body ignores still multiplies by its domain
         # size, so broadcast before reducing.
-        want = res.shape[:ndim] + tuple(joint.card(v) for v in bound)
+        want = res.shape[:res.ndim - len(bound)] + tuple(joint.card(v) for v in bound)
         res = np.broadcast_to(res, want)
-        return res.sum(axis=tuple(range(ndim, inner_ndim)))
+        return res.sum(axis=tuple(range(-len(bound), 0)))
     if isinstance(e, Product):
         out = np.ones((1,) * ndim) if ndim else np.float64(1.0)
         for f in e.factors:
@@ -221,11 +225,12 @@ def _eval_nd(e, joint, leaf_fn, env: dict[str, int], ndim: int) -> np.ndarray:
         num = _eval_nd(e.num, joint, leaf_fn, env, ndim)
         den = np.asarray(_eval_nd(e.den, joint, leaf_fn, env, ndim))
         if np.any(den == 0.0):
+            # The first zero in model order; the model axes name no variable.
             idx = np.unravel_index(int(np.argmax(den == 0.0)), den.shape)
             bad = {
-                v: int(idx[ax])
+                v: int(idx[ax - ndim])
                 for v, ax in env.items()
-                if ax < den.ndim and den.shape[ax] > 1
+                if ndim - ax <= den.ndim and den.shape[ax - ndim] > 1
             }
             raise PositivityError(bad)
         return num / den

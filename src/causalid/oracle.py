@@ -52,16 +52,20 @@ MIN_PROB = 0.01
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """A concrete parametrization of a causal graph.
+    """A concrete parametrization of a causal graph, or a stack of them.
 
     ``cards[i]`` is the domain size of node ``i`` (graph index order) and
     ``cpts[i]`` holds P(node | parents) with one leading axis per parent (in
     index order) and the node's own domain last; every row sums to one.
+    A stack of models puts the same ``batch`` axes in front of every table
+    (``batch`` is ``()`` for a single model); every function of this module
+    then computes one result per model, with those axes in front.
     """
 
     graph: CausalGraph
     cards: tuple[int, ...]
     cpts: tuple[np.ndarray, ...]
+    batch: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -72,42 +76,50 @@ class DiscreteModel:
                 f"{math.prod(self.cards)} joint states exceed the "
                 f"{MAX_STATES}-state enumeration budget"
             )
+        cards, parents = self.cards, self.graph._parents
+        batch = ()
+        if self.cpts:  # the first table's axes in front of its own are the model axes
+            batch = self.cpts[0].shape[:self.cpts[0].ndim - len(parents[0]) - 1]
         for i, cpt in enumerate(self.cpts):
-            rows = cpt.sum(axis=-1)
-            # np.allclose(rows, 1.0, atol=1e-12) without its overhead: the
-            # default rtol 1e-5 against 1.0; NaN rows fail the comparison.
-            if not (np.abs(rows - 1.0) <= 1e-12 + 1e-5).all():
+            want = (*batch, *map(cards.__getitem__, parents[i]), cards[i])
+            if cpt.shape != want:
                 raise ValueError(f"conditional table of node {self.graph.names[i]!r} "
-                                 "does not sum to 1")
-        object.__setattr__(self, "_plan", _factor_plan(self.graph, self.cards))
+                                 f"has shape {cpt.shape}, expected {want}")
+        # Every row of every node and model in one test, like
+        # np.allclose(rows, 1.0, atol=1e-12) without its overhead: the
+        # default rtol 1e-5 against 1.0; NaN rows fail the comparison.
+        rows = [cpt.sum(axis=-1).ravel() for cpt in self.cpts]
+        ok = np.abs(np.concatenate([np.ones(0), *rows]) - 1.0) <= 1e-12 + 1e-5
+        if not ok.all():
+            i = np.searchsorted(np.cumsum([r.size for r in rows]), np.argmin(ok), "right")
+            raise ValueError(f"conditional table of node {self.graph.names[i]!r} "
+                             "does not sum to 1")
+        object.__setattr__(self, "batch", batch)
+        object.__setattr__(self, "_plan", _factor_plan(self.graph, self.cards, batch))
 
     def card(self, name: str) -> int:
         return self.cards[self.graph.index(name)]
 
 
-def _factor_plan(g: CausalGraph, cards: Sequence[int]) -> tuple:
-    """Per node, the transpose that puts its table's axes (parents, then the
-    node itself) in index order, and the shape that broadcasts the result
-    over the full node grid."""
+def _factor_plan(g: CausalGraph, cards: Sequence[int], batch: tuple[int, ...]) -> tuple:
+    """Per node, the transpose that keeps its table's model axes first and
+    puts the rest (parents, then the node itself) in index order, and the
+    shape that broadcasts the result over the full node grid behind the
+    model axes ``batch``."""
     n = len(g)
     plan = []
     for i in range(n):
         axes = g._parents[i] + (i,)
-        perm = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+        key = (*range(-len(batch), 0), *axes)  # model axes sort first
+        perm = tuple(sorted(range(len(key)), key=key.__getitem__))
         shape = [1] * n
         for ax in axes:
             shape[ax] = cards[ax]
-        plan.append((perm, tuple(shape)))
+        plan.append((perm, (*batch, *shape)))
     return tuple(plan)
 
 
-def random_model(
-    g: CausalGraph,
-    arity: int | Mapping[str, int] = 2,
-    seed: int = 0,
-) -> DiscreteModel:
-    """Reproducible positive model: conditional rows are drawn uniformly,
-    then mixed with the uniform distribution so every entry is >= MIN_PROB."""
+def _cards(g: CausalGraph, arity: int | Mapping[str, int]) -> tuple[int, ...]:
     if isinstance(arity, int):
         cards = tuple(arity for _ in g.names)
     else:
@@ -116,12 +128,35 @@ def random_model(
         raise ValueError("every domain needs at least two values")
     if any(c * MIN_PROB >= 1.0 for c in cards):
         raise ValueError(f"domains must have fewer than {round(1 / MIN_PROB)} values")
+    return cards
 
-    rng = np.random.default_rng(seed)
+
+def random_model(
+    g: CausalGraph,
+    arity: int | Mapping[str, int] = 2,
+    seed: int | Sequence[int] = 0,
+) -> DiscreteModel:
+    """Reproducible positive model: conditional rows are drawn uniformly,
+    then mixed with the uniform distribution so every entry is >= MIN_PROB.
+
+    A sequence of seeds gives a stack with one model per seed, in order;
+    each is the model that its seed alone gives."""
+    cards = _cards(g, arity)
+    shapes = [tuple(cards[j] for j in g._parents[i]) + (cards[i],) for i in range(len(g))]
+    sizes = [math.prod(shape) for shape in shapes]
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not seeds:
+        raise ValueError("at least one seed required")
+    # One draw per model: a generator's stream read in one call is the same
+    # as the nodes' tables read one after another in index order.
+    flat = np.stack([np.random.default_rng(s).random(sum(sizes)) for s in seeds])
+    batch = flat.shape[:np.ndim(seed)]
+    flat = flat.reshape(batch + (sum(sizes),))
     cpts = []
-    for i in range(len(g)):
-        shape = tuple(cards[j] for j in g._parents[i]) + (cards[i],)
-        raw = rng.random(shape) + 1e-12
+    offset = 0
+    for i, (shape, size) in enumerate(zip(shapes, sizes)):
+        raw = flat[..., offset:offset + size].reshape(batch + shape) + 1e-12
+        offset += size
         probs = raw / raw.sum(axis=-1, keepdims=True)
         probs = (1.0 - cards[i] * MIN_PROB) * probs + MIN_PROB
         cpts.append(probs)
@@ -129,23 +164,27 @@ def random_model(
 
 
 def _factor_product(
-    cards: tuple[int, ...], plan: tuple, cpts: Sequence[np.ndarray],
-    skip: frozenset[int] = frozenset(), sum_axes: tuple[int, ...] = (),
+    m: DiscreteModel, skip: frozenset[int] = frozenset(), sum_axes: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Product of the conditional tables ``cpts`` except those of ``skip``
-    nodes over the full node grid, with the ``sum_axes`` summed out;
-    ``plan`` is the model's factor plan."""
-    out = np.ones(cards)
-    for i, (perm, shape) in enumerate(plan):
+    """Product of the conditional tables of ``m`` except those of ``skip``
+    nodes over the full node grid, with the ``sum_axes`` summed out; model
+    axes lead, so ``sum_axes`` count from the end (node i is axis
+    ``i - len(graph)``)."""
+    out = np.ones(m.batch + m.cards)
+    for i, (perm, shape) in enumerate(m._plan):
         if i in skip:
             continue
-        out = out * cpts[i].transpose(perm).reshape(shape)
+        out = out * m.cpts[i].transpose(perm).reshape(shape)
     return out.sum(axis=sum_axes) if sum_axes else out
+
+
+def _latent_axes(g: CausalGraph) -> tuple[int, ...]:
+    return tuple(g.index(v) - len(g) for v in g.latent_names)
 
 
 def full_joint_array(m: DiscreteModel) -> np.ndarray:
     """Exact joint over every node (latents included), graph index order."""
-    return _factor_product(m.cards, m._plan, m.cpts)
+    return _factor_product(m)
 
 
 def full_joint(m: DiscreteModel) -> JointTable:
@@ -155,9 +194,7 @@ def full_joint(m: DiscreteModel) -> JointTable:
 def observational_joint(m: DiscreteModel) -> JointTable:
     """The observed distribution: the full joint with latents summed out."""
     g = m.graph
-    latent_axes = tuple(g.index(n) for n in g.latent_names)
-    arr = _factor_product(m.cards, m._plan, m.cpts, sum_axes=latent_axes)
-    return JointTable(g.observable_names, arr)
+    return JointTable(g.observable_names, _factor_product(m, sum_axes=_latent_axes(g)))
 
 
 def intervened_array(m: DiscreteModel, t_vars: frozenset[str]) -> np.ndarray:
@@ -169,8 +206,7 @@ def intervened_array(m: DiscreteModel, t_vars: frozenset[str]) -> np.ndarray:
         if not g.is_observable(v):
             raise GraphError(f"cannot intervene on latent node {v!r}")
     skip = frozenset(g.index(v) for v in t_vars)
-    latent_axes = tuple(g.index(n) for n in g.latent_names)
-    return _factor_product(m.cards, m._plan, m.cpts, skip, latent_axes)
+    return _factor_product(m, skip, _latent_axes(g))
 
 
 def interventional_truth(
@@ -195,9 +231,10 @@ def interventional_truth(
         else:
             index.append(slice(None))
             remaining.append(n)
-    arr = arr[tuple(index)]  # axes: observables minus t, canonical order
+    arr = arr[(..., *index)]  # axes: observables minus t, canonical order
 
-    drop = tuple(i for i, n in enumerate(remaining) if n not in s_vars)
+    k = len(remaining)
+    drop = tuple(i - k for i, n in enumerate(remaining) if n not in s_vars)
     arr = arr.sum(axis=drop) if drop else arr
     kept = [n for n in remaining if n in s_vars]
 
@@ -207,14 +244,15 @@ def interventional_truth(
 
     # s overlaps t: spread over the full s grid, zero where inconsistent.
     out_shape = tuple(m.card(n) for n in s_sorted)
-    out = np.zeros(out_shape)
+    out = np.zeros(m.batch + out_shape)
     idx = tuple(int(t[n]) if n in t_vars else slice(None) for n in s_sorted)
-    out[idx] = arr
+    out[(..., *idx)] = arr
     return JointTable(s_sorted, out)
 
 
 class DoEvaluator:
-    """Grid evaluation of interventional-sentence expressions on one model.
+    """Grid evaluation of interventional-sentence expressions on a model or
+    a stack of models (one result per model, model axes first).
 
     A sentence P(y | do(t), w) denotes P_t(y, w) / P_t(w); this class
     computes such leaves (and whole Sum/Product/Quotient trees over them)
@@ -281,6 +319,21 @@ class CheckReport:
         }
 
 
+def _seed_batches(g: CausalGraph, seed: int, count: int,
+                  arity: int | Mapping[str, int] = 2) -> Iterable[range]:
+    """The seeds ``seed .. seed + count - 1`` in chunks of at most
+    ``MAX_STATES`` full-joint cells."""
+    chunk = max(1, MAX_STATES // math.prod(_cards(g, arity)))
+    for start in range(seed, seed + count, chunk):
+        yield range(start, min(start + chunk, seed + count))
+
+
+def _per_model_max(arr: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """The largest entry of each model's part of ``arr``, whose leading
+    axes are the model axes ``batch``."""
+    return arr.reshape(batch + (-1,)).max(axis=-1)
+
+
 def check_estimand(
     e,
     g: CausalGraph,
@@ -293,9 +346,11 @@ def check_estimand(
 ) -> CheckReport:
     """Compare an estimand against P_t(s) on random positive models.
 
-    For each trial a fresh positive model on ``g`` is drawn, the estimand is
-    evaluated on its observational joint over every (t, s) assignment, and
-    the result is compared entrywise against the truncated factorization.
+    Trial ``i`` draws a positive model on ``g`` from seed ``seed + i``; the
+    estimand is evaluated on its observational joint over every (t, s)
+    assignment and compared entrywise against the truncated factorization.
+    The models are stacked and evaluated together, in chunks of at most
+    ``MAX_STATES`` full-joint cells.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -307,24 +362,24 @@ def check_estimand(
         raise ValueError("estimand has free variables outside s and t")
     order = list(g.sorted_nodes(t_vars)) + list(g.sorted_nodes(s_vars))
     keep = t_vars | s_vars
-    drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in keep)
+    n_obs = len(g.observable_names)
+    drop = tuple(ax - n_obs for ax, n in enumerate(g.observable_names) if n not in keep)
     # axes of the summed truth follow observable index order; permute to `order`
     current = [n for n in g.observable_names if n in keep]
     perm = [current.index(n) for n in order]
 
-    def one_trial(i: int) -> tuple[int, float, bool]:
-        model_seed = seed + i
-        m = random_model(g, arity=arity, seed=model_seed)
+    per_model = []
+    for seeds in _seed_batches(g, seed, trials, arity):
+        m = random_model(g, arity=arity, seed=seeds)
         est = evaluate_grid(e, observational_joint(m), order)
         arr = intervened_array(m, t_vars)
-        truth = (arr.sum(axis=drop) if drop else arr).transpose(perm)
-        err = float(np.max(np.abs(est - truth)))
-        return (model_seed, err, err <= tolerance)
-
-    per_model = tuple(one_trial(i) for i in range(trials))
-    max_err = max((e_ for _, e_, _ in per_model), default=0.0)
+        truth = (arr.sum(axis=drop) if drop else arr).transpose(0, *(1 + p for p in perm))
+        errs = _per_model_max(np.abs(est - truth), m.batch)
+        per_model.extend((model_seed, float(err), bool(err <= tolerance))
+                         for model_seed, err in zip(seeds, errs))
+    max_err = max(e_ for _, e_, _ in per_model)
     return CheckReport(
-        trials=trials, tolerance=tolerance, max_abs_error=max_err, per_model=per_model
+        trials=trials, tolerance=tolerance, max_abs_error=max_err, per_model=tuple(per_model)
     )
 
 
@@ -361,7 +416,7 @@ WITNESS_NOISE = 0.02  # bit-flip probability of the observables of a parity mode
 class WitnessReport:
     """Two positive models agreeing on P(v) but not on P_t(s), built on the
     hedge ``pair``: the failing (c, t) pair of :func:`causal_effect` or a
-    smaller hedge (c, t') inside it."""
+    smaller hedge (c', t') inside it."""
 
     model_a: DiscreteModel
     model_b: DiscreteModel
@@ -538,25 +593,35 @@ def _parity_pair(g: CausalGraph, c_names: frozenset[str], t_names: frozenset[str
 
 def _hedges(g: CausalGraph, c: frozenset[str], t: frozenset[str],
             t_vars: frozenset[str]):
-    """The failing pair's ``t``, then the smaller hedges (c, t') inside it,
-    smallest first: c ⊊ t' ⊊ t, where t' meets the do-set, is the
-    ancestral closure of ``c`` in its own latent subgraph, and is one
-    confounded component."""
-    yield t
-    extra = g.sorted_nodes(t - c)
-    for k in range(1, len(extra)):
-        for more in itertools.combinations(extra, k):
-            t2 = c | frozenset(more)
-            if (t2 & t_vars and g._ancestors_within(c, t2) == t2
-                    and len(_observable_components(g, t2)) == 1):
-                yield t2
+    """The failing pair (c, t), then the smaller hedges (c', t') inside it:
+    first those with c' = c and c ⊊ t' ⊊ t, smallest t' first, then those
+    with c' ⊊ c and c' ⊊ t' ⊆ t, by the size of c' and then of t'.  Each
+    t' meets the do-set, is the ancestral closure of c' in its own latent
+    subgraph, and is one confounded component, as is c'."""
+    yield c, t
+
+    def grown(c2: frozenset[str], largest: int):
+        extra = g.sorted_nodes(g._ancestors_within(c2, t) - c2)
+        for k in range(1, min(largest, len(extra)) + 1):
+            for more in itertools.combinations(extra, k):
+                t2 = c2 | frozenset(more)
+                if (t2 & t_vars and g._ancestors_within(c2, t2) == t2
+                        and len(_observable_components(g, t2)) == 1):
+                    yield c2, t2
+
+    yield from grown(c, len(t - c) - 1)
+    members = g.sorted_nodes(c)
+    for k in range(1, len(members)):
+        for sub in itertools.combinations(members, k):
+            if len(_observable_components(g, frozenset(sub))) == 1:
+                yield from grown(frozenset(sub), len(t) - k)
 
 
 def witness_search(g: CausalGraph, t: Iterable[str], s: Iterable[str]) -> WitnessReport | None:
     """Certificate that P_t(s) is not identifiable: the pair of
     :func:`_parity_pair` on the failing (c, t) pair of :func:`causal_effect`
     or, where that pair cannot be built or fails the check, on the first of
-    the smaller hedges inside it that passes.  A pair passes if
+    the smaller hedges inside it (:func:`_hedges`) that passes.  A pair passes if
     :func:`observational_joint` and :func:`intervened_array` show an
     observational gap <= 1e-9, a causal gap >= 1e-2 over s ∪ t, and
     positive observational joints.  None for an identifiable effect or when
@@ -568,8 +633,8 @@ def witness_search(g: CausalGraph, t: Iterable[str], s: Iterable[str]) -> Witnes
     c, t_fail = res.witness
     drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in t_vars | s_vars)
     evaluations = 0
-    for hedge in _hedges(g, c, t_fail, t_vars):
-        pair = _parity_pair(g, c, hedge, t_vars, s_vars)
+    for c2, t2 in _hedges(g, c, t_fail, t_vars):
+        pair = _parity_pair(g, c2, t2, t_vars, s_vars)
         if pair is None:
             continue
         evaluations += 1
@@ -578,5 +643,5 @@ def witness_search(g: CausalGraph, t: Iterable[str], s: Iterable[str]) -> Witnes
         obs_gap = float(np.max(np.abs(obs[0] - obs[1])))
         causal_gap = float(np.max(np.abs(causal[0] - causal[1])))
         if obs_gap <= 1e-9 and causal_gap >= 1e-2 and min(obs[0].min(), obs[1].min()) > 0.0:
-            return WitnessReport(*pair, obs_gap, causal_gap, evaluations, pair=(c, hedge))
+            return WitnessReport(*pair, obs_gap, causal_gap, evaluations, pair=(c2, t2))
     return None

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from causalid import docalc
 from causalid.docalc import (
     Derivation,
     DerivationStep,
@@ -243,6 +244,32 @@ class TestVerifyRejections:
         )
         d = Derivation(g_chain, None, before, (step,))
         assert not verify_derivation(d).accepted
+
+    def test_numeric_rejection_reports_first_failing_model(self, g_chain, monkeypatch):
+        # The step above with its structural schema switched off, so that
+        # only the numeric check rejects it.  The models are checked as one
+        # stack, but the rejection reads as a model-by-model loop's: the
+        # error of the first model in seed order that exceeds the
+        # tolerance, which here is not the largest error.
+        monkeypatch.setitem(docalc._SCHEMAS, ("Marginalize", "introduce"),
+                            (lambda *sides: True, False))
+        before = DoSentence(frozenset({"Z"}), frozenset({"X"}), frozenset())
+        after = Sum({"Y"}, DoSentence(frozenset({"Z", "Y"}), frozenset({"X"}), frozenset()))
+        after = Quotient(after, after)
+        step = DerivationStep("Marginalize", (), before, after,
+                              StepParams(frozenset({"Y"}), "introduce"))
+        d = Derivation(g_chain, None, before, (step,))
+        frees = sorted(free_vars(before) | free_vars(after))
+        errs = []
+        for seed in range(5):
+            ev = DoEvaluator(random_model(g_chain, seed=seed))
+            errs.append(float(np.max(np.abs(ev.grid(before, frees) - ev.grid(after, frees)))))
+        tolerance = errs[0]
+        first = next(e for e in errs if e > tolerance)
+        assert first != max(errs)
+        verdict = verify_derivation(d, models=5, seed=0, tolerance=tolerance)
+        assert (verdict.accepted, verdict.step) == (False, 0)
+        assert verdict.reason == f"numeric check failed: sides differ by {first:.3e}"
 
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])

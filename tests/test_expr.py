@@ -138,6 +138,36 @@ class TestEvaluate:
             evaluate_grid(e, joint, ["X", "Y"])
         assert err.value.assignment == {"X": 1}
 
+    def test_zero_denominator_in_a_stack_names_only_variables(self):
+        # The zero lies in the second model of the stack; the assignment
+        # names the variables at the first zero, never the model axis.
+        ok = np.full((2, 2), 0.25)
+        bad = np.array([[0.5, 0.5], [0.0, 0.0]])  # P(X=1) = 0
+        joint = JointTable(["X", "Y"], np.stack([ok, bad, ok]))
+        e = Quotient(JointMarginal({"X", "Y"}), JointMarginal({"X"}))
+        with pytest.raises(PositivityError) as err:
+            evaluate_grid(e, joint, ["Y", "X"])
+        assert err.value.assignment == {"X": 1}
+
+    def test_stack_evaluates_each_model(self):
+        # A stack of models gives, model by model, exactly what each model
+        # gives alone, on both evaluators.
+        rng = np.random.default_rng(12)
+        for trial in range(25):
+            g = random_dag(rng, n_obs=3, n_lat=1)
+            e = random_expr(rng, list(g.observable_names))
+            free = sorted(free_vars(e))
+            seeds = range(10 * trial, 10 * trial + 4)
+            stack = random_model(g, seed=seeds)
+            got = evaluate_grid(e, observational_joint(stack), free)
+            got_do = DoEvaluator(stack).grid(e, free)
+            for j, seed in enumerate(seeds):
+                m = random_model(g, seed=seed)
+                want = evaluate_grid(e, observational_joint(m), free)
+                assert got.shape == (len(seeds),) + want.shape
+                assert np.array_equal(got[j], want)
+                assert np.array_equal(got_do[j], DoEvaluator(m).grid(e, free))
+
     def test_matches_brute_force_reference(self):
         rng = np.random.default_rng(42)
         for trial in range(25):

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from causalid.expr import JointMarginal, Product, Quotient, Sum
+import causalid.oracle
+from causalid.expr import JointMarginal, Product, Quotient, Sum, evaluate_grid
 from causalid.graph import CausalGraph
 from causalid.ident import causal_effect
 from causalid.oracle import (
@@ -21,6 +22,7 @@ from causalid.oracle import (
     witness_search,
 )
 from causalid.sep import SeparationQuery, d_separated
+from causalid.tables import MAX_STATES, EnumerationLimitError, JointTable
 
 from conftest import random_dag
 
@@ -45,6 +47,48 @@ class TestRandomModel:
     def test_bow_joint_strictly_positive(self, g_bow):
         m = random_model(g_bow, seed=7)
         assert observational_joint(m).array.min() > 0
+
+
+class TestModelStack:
+    def test_stack_holds_each_seeds_model(self, g_frontdoor):
+        stack = random_model(g_frontdoor, arity=3, seed=range(5, 9))
+        assert stack.batch == (4,)
+        for j, seed in enumerate(range(5, 9)):
+            m = random_model(g_frontdoor, arity=3, seed=seed)
+            assert m.batch == ()
+            for a, b in zip(stack.cpts, m.cpts):
+                assert np.array_equal(a[j], b)
+
+    def test_bad_row_in_one_model_names_its_node(self, g_frontdoor):
+        stack = random_model(g_frontdoor, seed=range(3))
+        cpts = list(stack.cpts)
+        z = g_frontdoor.index("Z")
+        cpts[z] = cpts[z].copy()
+        cpts[z][1, 0] = [0.5, 0.6]  # model 1, X = 0
+        with pytest.raises(ValueError, match="node 'Z' does not sum to 1"):
+            DiscreteModel(graph=g_frontdoor, cards=stack.cards, cpts=tuple(cpts))
+
+    def test_tables_of_differing_stacks_rejected(self, g_chain):
+        a, b = random_model(g_chain, seed=range(2)), random_model(g_chain, seed=range(3))
+        with pytest.raises(ValueError, match="has shape"):
+            DiscreteModel(graph=g_chain, cards=a.cards, cpts=(a.cpts[0], b.cpts[1], a.cpts[2]))
+
+    def test_per_model_cap_kept(self):
+        # 21 binary nodes: 2^21 joint states per model.
+        names = [f"V{i}" for i in range(21)]
+        g = CausalGraph.build(observed=names)
+        with pytest.raises(EnumerationLimitError):
+            random_model(g, seed=range(2))
+        with pytest.raises(EnumerationLimitError):
+            random_model(g, seed=0)
+        with pytest.raises(EnumerationLimitError):
+            JointTable(names, np.zeros((2,) * 21))
+
+    def test_stack_not_refused_for_its_size(self):
+        # Eight models of 2^18 states: a 2^21-cell stack of legal tables.
+        names = [f"V{i}" for i in range(18)]
+        stack = JointTable(names, np.zeros((8,) + (2,) * 18))
+        assert stack.batch == (8,) and np.size(stack.array) > MAX_STATES
 
 
 class TestValidation:
@@ -157,6 +201,34 @@ class TestInterventionalTruth:
         assert truth.total() == pytest.approx(1.0, abs=1e-12)
 
 
+def corpus_query(rng):
+    """A random graph with 2-5 observables and 0-3 latents, and a query."""
+    g = random_dag(rng, n_obs=int(rng.integers(2, 6)), n_lat=int(rng.integers(0, 4)),
+                   p_edge=float(rng.uniform(0.15, 0.7)))
+    obs = list(g.observable_names)
+    rng.shuffle(obs)
+    n_t = int(rng.integers(1, len(obs)))
+    n_s = int(rng.integers(1, len(obs) - n_t + 1))
+    return g, frozenset(obs[:n_t]), frozenset(obs[n_t:n_t + n_s])
+
+
+def per_model_reference(e, g, t, s, trials, seed, tolerance=1e-9):
+    """What check_estimand reports, one model at a time."""
+    order = list(g.sorted_nodes(t)) + list(g.sorted_nodes(s))
+    drop = tuple(ax for ax, n in enumerate(g.observable_names) if n not in t | s)
+    current = [n for n in g.observable_names if n in t | s]
+    perm = [current.index(n) for n in order]
+    out = []
+    for i in range(trials):
+        m = random_model(g, seed=seed + i)
+        est = evaluate_grid(e, observational_joint(m), order)
+        arr = intervened_array(m, t)
+        truth = (arr.sum(axis=drop) if drop else arr).transpose(perm)
+        err = float(np.max(np.abs(est - truth)))
+        out.append((seed + i, err, err <= tolerance))
+    return tuple(out)
+
+
 class TestCheckEstimand:
     def test_backdoor_estimand_passes(self, g_backdoor):
         # Sum_z P(z) * P(x,z,y)/P(x,z)
@@ -197,6 +269,47 @@ class TestCheckEstimand:
         assert not report.all_passed
 
 
+    def test_stack_equals_model_by_model(self):
+        # Exact equality with a loop over single models, on corpus-like
+        # queries (<= 5 observables, <= 3 latents).
+        rng = np.random.default_rng(20240601)
+        queries = 0
+        while queries < 60:
+            g, t, s = corpus_query(rng)
+            res = causal_effect(t, s, g)
+            if not res.identifiable:
+                continue
+            trials = int(rng.integers(1, 40))
+            report = check_estimand(res.estimand, g, t, s, trials=trials, seed=queries)
+            assert report.per_model == per_model_reference(
+                res.estimand, g, t, s, trials, queries)
+            queries += 1
+
+    def test_chunks_equal_model_by_model(self, monkeypatch):
+        # 16 binary nodes: 2^16 states, so chunks of 2^20 // 2^16 = 16
+        # models, and 20 trials span a chunk boundary.
+        rng = np.random.default_rng(4)
+        while True:
+            g = random_dag(rng, n_obs=13, n_lat=3, p_edge=0.2)
+            obs = list(g.observable_names)
+            t, s = frozenset(obs[:2]), frozenset(obs[-2:])
+            res = causal_effect(t, s, g)
+            if res.identifiable:
+                break
+        batches = []
+        draw = causalid.oracle.random_model
+
+        def counted(g, arity=2, seed=0):
+            batches.append(len(seed))
+            return draw(g, arity=arity, seed=seed)
+
+        monkeypatch.setattr(causalid.oracle, "random_model", counted)
+        report = check_estimand(res.estimand, g, t, s, trials=20, seed=3)
+        monkeypatch.undo()
+        assert batches == [16, 4]
+        assert report.per_model == per_model_reference(res.estimand, g, t, s, 20, 3)
+        assert report.all_passed
+
     def test_zero_trials_rejected(self, g_chain):
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
             check_estimand(JointMarginal({"Y"}), g_chain, ["X"], ["Y"], trials=0)
@@ -215,6 +328,25 @@ class TestWitnessSearch:
         assert rep is not None
         assert rep.observational_gap <= 1e-6
         assert rep.causal_gap >= 1e-2
+
+    def test_smaller_c_certifies_when_no_pair_with_c_builds(self):
+        # The failing pair is c = {V3, V6, V7, V9, V10}, t = c + {V1}; no
+        # parity pair with that c can be built, but the bow ({V3}, {V1, V3})
+        # inside it, with V3 an ancestor of V10, certifies the query.
+        obs = [f"V{i}" for i in range(12)]
+        chain = [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (4, 6), (6, 7), (7, 8),
+                 (8, 9), (9, 10), (9, 11)]
+        confounded = {"L0": (2, 9, 10), "L1": (1, 3, 7), "L2": (3, 6, 9)}
+        edges = [(f"V{a}", f"V{b}") for a, b in chain]
+        edges += [(u, f"V{v}") for u, vs in confounded.items() for v in vs]
+        g = CausalGraph.build(observed=obs, latent=list(confounded), edges=edges)
+        res = causal_effect({"V1"}, {"V10"}, g)
+        assert res.witness == (frozenset({"V3", "V6", "V7", "V9", "V10"}),
+                               frozenset({"V1", "V3", "V6", "V7", "V9", "V10"}))
+        rep = witness_search(g, {"V1"}, {"V10"})
+        assert rep is not None
+        assert rep.pair == (frozenset({"V3"}), frozenset({"V1", "V3"}))
+        assert rep.observational_gap <= 1e-9 and rep.causal_gap >= 1e-2
 
     def test_identifiable_graph_yields_none(self, g_backdoor):
         assert witness_search(g_backdoor, {"X"}, {"Y"}) is None
