@@ -17,8 +17,8 @@ here treat any non-``One`` leaf through its ``leaf_vars`` attribute.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -245,10 +245,24 @@ def canonicalize(e):
 
     Flattens nested products, drops unit factors and unit denominators,
     merges directly nested sums with disjoint bound sets, unwraps empty
-    sums, and orders product factors by a structural key.
+    sums, and orders product factors by their structural key: the
+    sorted-key JSON text of :func:`expr_to_json`, built once per node from
+    its children's keys.  The result is kept on the node, and a canonical
+    node maps to itself, so canonicalizing a subtree again costs O(1).
     """
-    if isinstance(e, One) or not isinstance(e, (Sum, Product, Quotient)):
+    if not isinstance(e, (Sum, Product, Quotient)):
         return e
+    memo = e.__dict__
+    if "_canonical" not in memo:
+        out = memo["_canonical"] = _canonical_form(e)
+        if isinstance(out, (Sum, Product, Quotient)):
+            # A canonical node maps to itself; None says so without a
+            # reference from the node to itself.
+            out.__dict__["_canonical"] = None
+    return memo["_canonical"] or e
+
+
+def _canonical_form(e):
     if isinstance(e, Sum):
         body = canonicalize(e.body)
         bound = e.bound
@@ -311,7 +325,37 @@ def simplify(e):
 
 
 def _structural_key(e) -> str:
-    return json.dumps(expr_to_json(e), sort_keys=True)
+    """``json.dumps(expr_to_json(e), sort_keys=True)``, kept on the node."""
+    memo = e.__dict__
+    if "_key" not in memo:
+        memo["_key"] = _build_key(e)
+    return memo["_key"]
+
+
+def _build_key(e) -> str:
+    """The sorted-key JSON text of ``e``, from its children's keys."""
+    if isinstance(e, One):
+        return '{"kind": "one"}'
+    if isinstance(e, JointMarginal):
+        return '{"kind": "marginal", "vars": ' + _names_key(e.vars) + "}"
+    if isinstance(e, Sum):
+        return ('{"body": ' + _structural_key(e.body) + ', "bound": ' + _names_key(e.bound)
+                + ', "kind": "sum"}')
+    if isinstance(e, Product):
+        return ('{"factors": [' + ", ".join(map(_structural_key, e.factors))
+                + '], "kind": "product"}')
+    if isinstance(e, Quotient):
+        return ('{"den": ' + _structural_key(e.den) + ', "kind": "quotient", "num": '
+                + _structural_key(e.num) + "}")
+    if isinstance(e, DoSentence):
+        return ('{"do": ' + _names_key(e.do) + ', "given": ' + _names_key(e.given)
+                + ', "kind": "sentence", "outcome": ' + _names_key(e.outcome) + "}")
+    raise TypeError(f"cannot encode {e!r}")
+
+
+def _names_key(names: frozenset[str]) -> str:
+    """``json.dumps(sorted(names))``, without the encoder's set-up."""
+    return "[" + ", ".join(map(encode_basestring_ascii, sorted(names))) + "]"
 
 
 # -- serialization -------------------------------------------------------------
@@ -365,15 +409,26 @@ def expr_from_json(data: Mapping):
 
 
 def pretty(e) -> str:
-    """Textbook-style rendering; shadowed bound variables get primes."""
-    symbols = {v: v.lower() for v in free_vars(e)}
+    """Textbook-style rendering; shadowed bound variables, and names that
+    differ only in case, get primes."""
+    symbols, _ = _bind(free_vars(e), {})
     return _render(e, symbols)
 
 
-def _fresh(sym: str, taken) -> str:
-    while sym in taken:
-        sym += "'"
-    return sym
+def _bind(names, symbols: dict[str, str]) -> tuple[dict[str, str], list[str]]:
+    """``symbols`` extended with a fresh lower-case symbol for each of
+    ``names`` in sorted order, and those symbols."""
+    inner = dict(symbols)
+    taken = set(symbols.values())
+    syms = []
+    for v in sorted(names):
+        s = v.lower()
+        while s in taken:
+            s += "'"
+        taken.add(s)
+        inner[v] = s
+        syms.append(s)
+    return inner, syms
 
 
 def _render(e, symbols: dict[str, str]) -> str:
@@ -382,14 +437,7 @@ def _render(e, symbols: dict[str, str]) -> str:
     if isinstance(e, JointMarginal):
         return "P(" + ", ".join(symbols[v] for v in sorted(e.vars)) + ")"
     if isinstance(e, Sum):
-        inner = dict(symbols)
-        taken = set(symbols.values())
-        syms = []
-        for v in sorted(e.bound):
-            s = _fresh(v.lower(), taken)
-            taken.add(s)
-            inner[v] = s
-            syms.append(s)
+        inner, syms = _bind(e.bound, symbols)
         return "Σ_{" + ",".join(syms) + "} " + _wrap(e.body, inner, atom_ok=True)
     if isinstance(e, Product):
         return "·".join(_wrap(f, symbols) for f in e.factors)

@@ -418,12 +418,15 @@ class CausalGraph:
 
     def to_dot(self, name: str = "G") -> str:
         """GraphViz DOT rendering; latent nodes are drawn dashed."""
+        def quoted(n: str) -> str:
+            return '"' + n.replace('"', '\\"') + '"'
+
         lines = [f"digraph {name} {{"]
         for n, o in zip(self._names, self._obs):
             style = "" if o else " [style=dashed]"
-            lines.append(f'  "{n}"{style};')
+            lines.append(f"  {quoted(n)}{style};")
         for p, c in self.edges:
-            lines.append(f'  "{p}" -> "{c}";')
+            lines.append(f"  {quoted(p)} -> {quoted(c)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -286,4 +286,4 @@ def causal_effect(t: Iterable[str], s: Iterable[str], g: CausalGraph) -> IdentRe
     extras = free_vars(raw) - (s | t)
     if extras:
         raw = Sum(extras, Product([JointMarginal(extras), raw]))
-    return IdentResult(estimand=simplify(canonicalize(raw)), witness=None)
+    return IdentResult(estimand=simplify(raw), witness=None)

@@ -1,12 +1,19 @@
 """Shared fixture graphs and random-structure helpers."""
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causalid.expr import evaluate_grid
 from causalid.graph import CausalGraph
+
+# The benchmark's seeded generators (bench/gen.py) and query pools
+# (bench/workloads.py) serve as test inputs too.
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.append(str(BENCH))
 
 
 @pytest.fixture

@@ -232,8 +232,10 @@ class TestVerifyRejections:
         )
         assert verify_derivation(d).accepted
 
-    def test_numeric_spot_check_catches_bad_manipulation(self, g_chain):
-        # structurally plausible marginalization with the wrong variable set
+    def test_marginalize_schema_rejects_quotient_rewrite(self, g_chain):
+        # A Marginalize step whose rewrite is a quotient of two marginalized
+        # sentences, not the marginalized sentence itself: the structural
+        # schema rejects it before any numeric check runs.
         before = DoSentence(frozenset({"Z"}), frozenset({"X"}), frozenset())
         after = Sum(
             {"Y"}, DoSentence(frozenset({"Z", "Y"}), frozenset({"X"}), frozenset())
@@ -243,7 +245,9 @@ class TestVerifyRejections:
             StepParams(frozenset({"Y"}), "introduce"),
         )
         d = Derivation(g_chain, None, before, (step,))
-        assert not verify_derivation(d).accepted
+        verdict = verify_derivation(d)
+        assert (verdict.accepted, verdict.step) == (False, 0)
+        assert verdict.reason == "not a Marginalize step in the introduce direction"
 
     def test_numeric_rejection_reports_first_failing_model(self, g_chain, monkeypatch):
         # The step above with its structural schema switched off, so that

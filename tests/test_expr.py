@@ -1,11 +1,16 @@
 """Estimand tree structure, evaluation, and normal form."""
 
 import itertools
+import json
+from collections import Counter
 
+import gen
 import numpy as np
 import pytest
 
+from causalid import expr, ident
 from causalid.expr import (
+    DoSentence,
     JointMarginal,
     One,
     PositivityError,
@@ -20,6 +25,8 @@ from causalid.expr import (
     pretty,
     simplify,
 )
+from causalid.graph import parse_graph_text
+from causalid.ident import causal_effect
 from causalid.oracle import DoEvaluator, observational_joint, random_model
 from causalid.tables import JointTable
 
@@ -288,3 +295,209 @@ class TestPretty:
         e = Product([JointMarginal({"X"}), inner])
         text = pretty(e)
         assert "x'" in text
+
+    def test_names_differing_in_case_get_distinct_symbols(self):
+        e = Quotient(JointMarginal({"X", "x", "Y"}), JointMarginal({"X", "x"}))
+        assert pretty(e) == "P(x, y, x')/P(x, x')"
+        g = parse_graph_text("node X obs\nnode x obs\nnode Y obs\n"
+                             "edge X x\nedge x Y\nedge X Y\n")
+        est = causal_effect({"X"}, {"x", "Y"}, g).estimand
+        assert pretty(est) == "(P(x, y, x')/P(x, x'))·(P(x, x')/P(x))"
+
+
+# -- the normal form against its reference -------------------------------------
+#
+# The reference normal form recomputes the structural key, the whole
+# subtree's sorted-key JSON, at every comparison, and simplify
+# re-canonicalizes every subtree.  The library keeps each key and canonical
+# form on its node; it must give the same trees with the same factor order.
+
+
+def ref_key(e) -> str:
+    return json.dumps(expr_to_json(e), sort_keys=True)
+
+
+def ref_canonicalize(e):
+    if isinstance(e, One) or not isinstance(e, (Sum, Product, Quotient)):
+        return e
+    if isinstance(e, Sum):
+        body = ref_canonicalize(e.body)
+        bound = e.bound
+        if not bound:
+            return body
+        if isinstance(body, Sum) and not (body.bound & bound):
+            bound = bound | body.bound
+            body = body.body
+        return Sum(bound, body)
+    if isinstance(e, Product):
+        factors = []
+        for f in e.factors:
+            cf = ref_canonicalize(f)
+            if isinstance(cf, Product):
+                factors.extend(cf.factors)
+            elif not isinstance(cf, One):
+                factors.append(cf)
+        if not factors:
+            return One()
+        if len(factors) == 1:
+            return factors[0]
+        factors.sort(key=ref_key)
+        return Product(factors)
+    num, den = ref_canonicalize(e.num), ref_canonicalize(e.den)
+    if isinstance(den, One):
+        return num
+    return Quotient(num, den)
+
+
+def ref_simplify(e):
+    e = ref_canonicalize(e)
+    if isinstance(e, Sum):
+        body = ref_simplify(e.body)
+        if isinstance(body, JointMarginal) and e.bound <= body.vars:
+            reduced = body.vars - e.bound
+            return JointMarginal(reduced) if reduced else One()
+        return ref_canonicalize(Sum(e.bound, body))
+    if isinstance(e, Product):
+        return ref_canonicalize(Product(ref_simplify(f) for f in e.factors))
+    if isinstance(e, Quotient):
+        num, den = ref_simplify(e.num), ref_simplify(e.den)
+        if num == den:
+            return One()
+        nf = list(num.factors) if isinstance(num, Product) else [num]
+        df = list(den.factors) if isinstance(den, Product) else [den]
+        for f in list(nf):
+            if f in df:
+                nf.remove(f)
+                df.remove(f)
+        num = ref_canonicalize(Product(nf))
+        den = ref_canonicalize(Product(df))
+        return num if isinstance(den, One) else Quotient(num, den)
+    return e
+
+
+# Names the json module escapes: a quote, a backslash, non-ASCII letters.
+AWKWARD_NAMES = ["A", "B", "C", 'q"t', "b\\s", "é", "Ω"]
+
+
+def shared_tree(rng, depth=4):
+    """A random expression over :data:`AWKWARD_NAMES` that reuses earlier
+    subtrees, so that one node object occurs in several places."""
+    made = []
+
+    def names(lo, hi):
+        k = int(rng.integers(lo, hi + 1))
+        return rng.choice(AWKWARD_NAMES, size=k, replace=False).tolist()
+
+    def node(d):
+        if made and rng.random() < 0.2:
+            return made[int(rng.integers(len(made)))]
+        kind = int(rng.integers(0, 3)) if d == 0 or rng.random() < 0.25 else int(rng.integers(3, 6))
+        if kind == 0:
+            out = JointMarginal(names(1, 3))
+        elif kind == 1:
+            out = One()
+        elif kind == 2:
+            vs = names(1, 4)
+            i, j = sorted(rng.integers(0, len(vs) + 1, size=2))
+            out = DoSentence(vs[:i], vs[i:j], vs[j:])
+        elif kind == 3:
+            out = Sum(names(0, 2), node(d - 1))
+        elif kind == 4:
+            out = Product([node(d - 1) for _ in range(int(rng.integers(0, 4)))])
+        else:
+            out = Quotient(node(d - 1), node(d - 1))
+        made.append(out)
+        return out
+
+    return node(depth)
+
+
+def subtrees(e):
+    yield e
+    if isinstance(e, Sum):
+        yield from subtrees(e.body)
+    elif isinstance(e, Product):
+        for f in e.factors:
+            yield from subtrees(f)
+    elif isinstance(e, Quotient):
+        yield from subtrees(e.num)
+        yield from subtrees(e.den)
+
+
+def assert_same_tree(got, want):
+    assert got == want
+    assert ref_key(got) == ref_key(want)  # the same factor order, also nested
+
+
+class TestNormalFormReference:
+    def test_structural_key_is_the_sorted_json(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            for sub in subtrees(shared_tree(rng)):
+                assert expr._structural_key(sub) == ref_key(sub)
+
+    def test_random_trees_match_reference(self):
+        for seed in range(300):
+            want_c = ref_canonicalize(shared_tree(np.random.default_rng(seed)))
+            want_s = ref_simplify(shared_tree(np.random.default_rng(seed)))
+            # Two equal trees, each asked in the other order, so that a
+            # canonical form kept by one pass is read by the other.
+            first = shared_tree(np.random.default_rng(seed))
+            c = canonicalize(first)
+            assert_same_tree(c, want_c)
+            assert_same_tree(simplify(first), want_s)
+            assert canonicalize(c) is c
+            second = shared_tree(np.random.default_rng(seed))
+            assert_same_tree(simplify(second), want_s)
+            assert_same_tree(canonicalize(second), want_c)
+
+    def test_nested_sum_merges_before_collapsing(self):
+        e = Sum({"A"}, Sum({"B"}, JointMarginal({"B"})))
+        assert_same_tree(simplify(e), ref_simplify(e))
+        assert simplify(e) == Sum({"A", "B"}, JointMarginal({"B"}))
+
+    @staticmethod
+    def queries():
+        """Identification queries on benchmark-style draws: acceptance-corpus
+        graphs, and sparse 20-observable latent DAGs with one or two
+        outcomes."""
+        rng = np.random.default_rng(23)
+        for i in range(240):
+            size = gen.CORPUS_SIZES[i % len(gen.CORPUS_SIZES)]
+            q = gen.corpus_query(rng, f"c{i}", size)
+            yield parse_graph_text(q.graph.text()), q.do, q.on
+        for i in range(40):
+            g = parse_graph_text(gen.sparse_latent_dag(rng, 20, 20, 2).text())
+            do = [f"V{int(rng.integers(0, 10))}"]
+            on = {f"V{int(v)}" for v in rng.integers(10, 20, size=1 + i % 2)}
+            yield g, do, on
+
+    def test_estimands_match_reference(self, monkeypatch):
+        cases = list(self.queries())
+        got = [causal_effect(t, s, g) for g, t, s in cases]
+        monkeypatch.setattr(ident, "canonicalize", ref_canonicalize)
+        monkeypatch.setattr(ident, "simplify", ref_simplify)
+        want = [causal_effect(t, s, g) for g, t, s in cases]
+        compared = 0
+        for r, w in zip(got, want):
+            assert r.witness == w.witness
+            if r.identifiable:
+                assert_same_tree(r.estimand, w.estimand)
+                compared += 1
+        assert compared >= 200
+
+    def test_each_key_and_canonical_form_built_once(self, monkeypatch):
+        g = parse_graph_text(gen.sparse_latent_dag(np.random.default_rng(1), 20, 20, 2).text())
+        builds = {"_build_key": Counter(), "_canonical_form": Counter()}
+        seen = []  # keeps every counted node alive, so that ids are not reused
+        for name, counts in builds.items():
+            def counted(e, build=getattr(expr, name), counts=counts):
+                seen.append(e)
+                counts[id(e)] += 1
+                return build(e)
+
+            monkeypatch.setattr(expr, name, counted)
+        assert causal_effect({"V5"}, {"V15", "V18"}, g).identifiable
+        for name, counts in builds.items():
+            assert counts, name
+            assert max(counts.values()) == 1, name

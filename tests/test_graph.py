@@ -301,3 +301,7 @@ class TestTextFormat:
         dot = g_bow.to_dot()
         assert '"U" [style=dashed];' in dot
         assert '"X" -> "Y";' in dot
+        # A quote inside a name is escaped, so each name stays one DOT id.
+        dot = parse_graph_text('node a"b obs\nnode Y lat\nedge a"b Y\n').to_dot()
+        assert dot.splitlines()[1:4] == [
+            '  "a\\"b";', '  "Y" [style=dashed];', '  "a\\"b" -> "Y";']
