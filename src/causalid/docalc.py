@@ -22,23 +22,24 @@ a replay of the steps from it.
 
 The generator writes every step through one small vocabulary of named
 rewrites, each of which reads the sentence at a path and computes the new
-subexpression and its justification: chain-rule ``split``, ``merge`` and
-``quotient``, ``marginalize``, and the set-valued rule-2 and rule-3 moves;
-the factor substitutions are the only steps written by hand.  The verifier
-still accepts normalize-to-one steps, which the generator no longer writes.
+subexpression: chain-rule ``split``, ``merge`` and ``quotient``,
+``marginalize``, and the set-valued rule-2 and rule-3 moves; the factor
+substitutions are the only steps written by hand.
 
-A rule step is justified by its rewrite alone: the rule instance can be
-read off the two sentences, and its edge cuts and verdict follow from the
-instance, so a rule step stores no claim about them.
+Every step but a substitution is justified by its rewrite alone, and
+stores no claim: a rule instance can be read off the two sentences, and
+its edge cuts and verdict follow from the instance; the set that a
+chain-rule or marginalization step moves can be read off its two sides,
+and each is an equality, so either side may come first.
 
 The verifier trusts nothing from the generator and shares no code with its
 rewrites: it replays the steps and requires each to rewrite the
 subexpression its path reaches, narrows each rewrite to its changed
 subexpression by diffing, reads each rule instance off the two sentences
 and runs its separation test on the graph with the rule's edge cuts
-applied, checks each structural step against the schema of its kind and
-direction in the orientation that the direction names, and spot-checks
-each step numerically on random positive models through the oracle's
+applied, checks each chain-rule and marginalization step against the
+schema of its kind with the set read off its sides, and spot-checks each
+step numerically on random positive models through the oracle's
 interventional-sentence evaluator.
 """
 
@@ -84,19 +85,10 @@ RULE2 = "Rule2"
 RULE3 = "Rule3"
 CHAIN = "ChainRule"
 MARGINALIZE = "Marginalize"
-NORMALIZE = "NormalizeToOne"
 SUBSTITUTE = "FactorSubstitute"
 
 
 DoExpr = DoSentence | One | Sum | Product | Quotient
-
-
-@dataclass(frozen=True)
-class StepParams:
-    """Structural parameters of a probability-manipulation step."""
-
-    vars: frozenset[str]
-    direction: str
 
 
 @dataclass(frozen=True)
@@ -111,13 +103,14 @@ class Substitution:
 class DerivationStep:
     """One rewrite: the subexpression at ``path`` of the previous state
     goes from ``before`` to ``after``; the rest of the state is unchanged.
-    A rule step's justification is None: its rewrite names the instance."""
+    Only a factor substitution carries a justification; every other step
+    is justified by its rewrite."""
 
     kind: str
     path: Path
     before: DoExpr
     after: DoExpr
-    justification: StepParams | Substitution | None
+    justification: Substitution | None
 
 
 @dataclass(frozen=True)
@@ -215,11 +208,9 @@ class _Writer:
 
     Each named rewrite (:meth:`split`, :meth:`merge`, :meth:`ratio`,
     :meth:`marginalize`, :meth:`rule2`, :meth:`rule3`) reads the
-    subexpression at ``path`` and computes both its replacement and the
-    justification of the step; ``kind`` and ``direction`` of each step name
-    the rewrite that wrote it.  The rule moves take a set of variables and
-    test their instance before writing a step, which carries no
-    justification."""
+    subexpression at ``path`` and computes its replacement, and writes a
+    step with no justification.  The rule moves take a set of variables and
+    test their instance before writing a step."""
 
     def __init__(self, graph: CausalGraph, root: DoExpr):
         self.graph = graph
@@ -230,7 +221,8 @@ class _Writer:
     def derivation(self, query=None) -> Derivation:
         return Derivation(self.graph, query, self.root, tuple(self.steps))
 
-    def apply(self, kind: str, path: Path, after_local: DoExpr, justification):
+    def apply(self, kind: str, path: Path, after_local: DoExpr,
+              justification: Substitution | None = None):
         self.steps.append(
             DerivationStep(kind, path, _get(self.state, path), after_local, justification)
         )
@@ -254,7 +246,7 @@ class _Writer:
         self.apply(CHAIN, path, Product([
             DoSentence(frozenset({x}), e.do, e.given | rest),
             DoSentence(rest, e.do, e.given),
-        ]), StepParams(vars=rest, direction="split"))
+        ]))
 
     def merge(self, path: Path, i: int, j: int):
         """Chain merge of the factors P(A | do, w, B) at ``i`` and
@@ -264,22 +256,19 @@ class _Writer:
         a, b = factors[i], factors[j]
         factors[i] = DoSentence(a.outcome | b.outcome, b.do, b.given)
         del factors[j]
-        self.apply(CHAIN, path, _normalize_product(factors),
-                   StepParams(vars=b.outcome, direction="merge"))
+        self.apply(CHAIN, path, _normalize_product(factors))
 
     def ratio(self, path: Path, b: frozenset[str]):
         """Chain rule as a ratio: P(A | do, w, B) -> P(A∪B | do, w) / P(B | do, w)."""
         e = self.at(path)
         w = e.given - b
         self.apply(CHAIN, path, Quotient(DoSentence(e.outcome | b, e.do, w),
-                                         DoSentence(b, e.do, w)),
-                   StepParams(vars=b, direction="quotient"))
+                                         DoSentence(b, e.do, w)))
 
     def marginalize(self, path: Path, m: frozenset[str]):
         """Marginalization: P(S | do, w) -> Σ_m P(S∪m | do, w)."""
         e = self.at(path)
-        self.apply(MARGINALIZE, path, Sum(m, DoSentence(e.outcome | m, e.do, e.given)),
-                   StepParams(vars=m, direction="introduce"))
+        self.apply(MARGINALIZE, path, Sum(m, DoSentence(e.outcome | m, e.do, e.given)))
 
     def rule2(self, path: Path, z: frozenset[str]):
         """Rule 2: exchange the actions on ``z`` for observations of ``z``
@@ -305,7 +294,7 @@ class _Writer:
             raise GraphError(
                 f"internal error: generated {kind} step whose separation fails"
             )
-        self.apply(kind, path, after_local, None)
+        self.apply(kind, path, after_local)
 
 
 # -- schedule emitters -----------------------------------------------------------
@@ -575,30 +564,19 @@ def _as_sum(e: DoExpr) -> tuple[frozenset[str], DoExpr]:
     return frozenset(), e
 
 
-def _as_factors(e: DoExpr) -> list[DoExpr]:
-    if isinstance(e, Product):
-        return list(e.factors)
-    if isinstance(e, One):
-        return []
-    return [e]
-
-
-def _check_rule_step(step: DerivationStep, graph: CausalGraph,
-                     site: tuple[DoExpr, DoExpr]) -> None:
-    """The rule instance read off the two sentences of ``site`` must hold."""
-    if step.justification is not None:
-        raise _Mismatch("rule step carries a justification")
-    b, a = site
+def _check_rule_step(kind: str, graph: CausalGraph, b: DoExpr, a: DoExpr) -> None:
+    """The rule instance read off the two sentences ``b`` and ``a`` must
+    hold."""
     if not (isinstance(b, DoSentence) and isinstance(a, DoSentence)):
         raise _Mismatch("rule step must rewrite a single sentence")
     if b.outcome != a.outcome:
         raise _Mismatch("rule step changed the outcome set")
-    want_rule = 2 if step.kind == RULE2 else 3
+    want_rule = 2 if kind == RULE2 else 3
     x = b.do & a.do
     moved = (b.do | a.do) - x
     if not moved:
         raise _Mismatch("rule step moved no interventions")
-    if step.kind == RULE2:
+    if kind == RULE2:
         # moved set swaps between do and given
         hat_side, obs_side = (b, a) if moved <= b.do else (a, b)
         if not (moved <= hat_side.do and moved <= obs_side.given):
@@ -617,47 +595,47 @@ def _check_rule_step(step: DerivationStep, graph: CausalGraph,
         raise _Mismatch("separation condition fails on the mutilated graph")
 
 
-def _chain_split(whole: DoExpr, parts: DoExpr, b: frozenset[str]) -> bool:
+def _chain_split(whole: DoExpr, parts: DoExpr) -> bool:
     """P(A∪B | do, w) == P(A | do, w∪B) · P(B | do, w), the factors in
-    either order."""
+    either order; B is the outcome of the factor given w alone."""
     if not (isinstance(whole, DoSentence) and isinstance(parts, Product)
             and len(parts.factors) == 2):
         return False
     return any(
         isinstance(f1, DoSentence) and isinstance(f2, DoSentence)
-        and f2.outcome == b
-        and f1.outcome == whole.outcome - b
+        and f2.given == whole.given
+        and f1.outcome == whole.outcome - f2.outcome
         and f1.outcome
         and whole.outcome == f1.outcome | f2.outcome
         and f1.do == f2.do == whole.do
-        and f1.given == whole.given | b
-        and f2.given == whole.given
+        and f1.given == whole.given | f2.outcome
         for f1, f2 in (parts.factors, parts.factors[::-1])
     )
 
 
-def _chain_ratio(cond: DoExpr, ratio: DoExpr, b: frozenset[str]) -> bool:
-    """P(A | do, w∪B) == P(A∪B | do, w) / P(B | do, w)."""
+def _chain_ratio(cond: DoExpr, ratio: DoExpr) -> bool:
+    """P(A | do, w∪B) == P(A∪B | do, w) / P(B | do, w); B is the
+    denominator's outcome."""
     if not (isinstance(cond, DoSentence) and isinstance(ratio, Quotient)):
         return False
     num, den = ratio.num, ratio.den
     return (
         isinstance(num, DoSentence) and isinstance(den, DoSentence)
-        and den.outcome == b
-        and cond.given == den.given | b
-        and num.outcome == cond.outcome | b
+        and cond.given == den.given | den.outcome
+        and num.outcome == cond.outcome | den.outcome
         and num.given == den.given
         and num.do == den.do == cond.do
     )
 
 
-def _marginal(summed: DoExpr, marginal: DoExpr, m: frozenset[str]) -> bool:
-    """Σ_M P(A∪M | do, w) == P(A | do, w), inside sums over equal bounds."""
+def _marginal(summed: DoExpr, marginal: DoExpr) -> bool:
+    """Σ_M P(A∪M | do, w) == P(A | do, w), inside sums over equal bounds;
+    M is the summed bound less the marginal one."""
     s_bound, s_body = _as_sum(summed)
     m_bound, m_body = _as_sum(marginal)
+    m = s_bound - m_bound
     return (
         bool(m)
-        and s_bound - m_bound == m
         and not (m_bound - s_bound)
         and isinstance(s_body, DoSentence) and isinstance(m_body, DoSentence)
         and s_body.outcome == m_body.outcome | m
@@ -667,35 +645,21 @@ def _marginal(summed: DoExpr, marginal: DoExpr, m: frozenset[str]) -> bool:
     )
 
 
-def _normalized(summed: DoExpr, rest: DoExpr, m: frozenset[str]) -> bool:
-    """Σ_M P(M | ...) · R == R for every R free of M."""
-    s_bound, s_body = _as_sum(summed)
-    r_bound, r_body = _as_sum(rest)
-    if not m or s_bound - r_bound != m or r_bound - s_bound:
-        return False
-    factors = _as_factors(s_body)
-    phi = next((f for f in factors if isinstance(f, DoSentence) and f.outcome == m), None)
-    if phi is None:
-        return False
-    factors.remove(phi)
-    rest_e = _normalize_product(factors)
-    return not (m & free_vars(rest_e)) and (
-        rest_e == r_body or factors == _as_factors(r_body)
-    )
-
-
-# The structural schemas by step kind and direction.  Each schema relates a
-# left side to a right side; a forward direction rewrites the left side
-# into the right one, a backward direction the right side into the left.
-_SCHEMAS = {
-    (CHAIN, "split"): (_chain_split, True),
-    (CHAIN, "merge"): (_chain_split, False),
-    (CHAIN, "quotient"): (_chain_ratio, True),
-    (MARGINALIZE, "collapse"): (_marginal, True),
-    (MARGINALIZE, "introduce"): (_marginal, False),
-    (NORMALIZE, "collapse"): (_normalized, True),
-    (NORMALIZE, "introduce"): (_normalized, False),
-}
+def _check_schema(kind: str, b: DoExpr, a: DoExpr) -> None:
+    """The two sides of a chain-rule or marginalization step must fit its
+    schema, in the orientation that the sides fix: each schema is an
+    equality, so a step may rewrite either side into the other."""
+    if kind == CHAIN:
+        # The undivided side is the one sentence: the joint of a split, or
+        # the conditional of a ratio.
+        whole, divided = (b, a) if isinstance(b, DoSentence) else (a, b)
+        holds = _chain_split(whole, divided) or _chain_ratio(whole, divided)
+    else:
+        # The summed side is the one with the larger bound.
+        summed, marginal = (b, a) if len(_as_sum(b)[0]) > len(_as_sum(a)[0]) else (a, b)
+        holds = _marginal(summed, marginal)
+    if not holds:
+        raise _Mismatch(f"not a {kind} rewrite")
 
 
 def _same(p: DoExpr, q: DoExpr) -> bool:
@@ -727,19 +691,13 @@ def _check_step(step: DerivationStep, graph: CausalGraph,
     site = _local_diff(step.before, step.after)
     if site is None:
         raise _Mismatch("step changes nothing")
-    if step.kind in (RULE2, RULE3):
-        _check_rule_step(step, graph, site)
-    elif step.kind in (CHAIN, MARGINALIZE, NORMALIZE):
-        params = step.justification
-        if not isinstance(params, StepParams):
-            raise _Mismatch("missing structural parameters")
-        schema = _SCHEMAS.get((step.kind, params.direction))
-        if schema is None:
-            raise _Mismatch(f"unknown direction {params.direction!r} of a {step.kind} step")
-        holds, forward = schema
-        lhs, rhs = site if forward else site[::-1]
-        if not holds(lhs, rhs, params.vars):
-            raise _Mismatch(f"not a {step.kind} step in the {params.direction} direction")
+    if step.kind in (RULE2, RULE3, CHAIN, MARGINALIZE):
+        if step.justification is not None:
+            raise _Mismatch(f"{step.kind} step carries a justification")
+        if step.kind in (RULE2, RULE3):
+            _check_rule_step(step.kind, graph, *site)
+        else:
+            _check_schema(step.kind, *site)
     elif step.kind == SUBSTITUTE:
         just = step.justification
         if not isinstance(just, Substitution):
@@ -859,8 +817,6 @@ class _Encoder:
     def justification(self, j) -> dict:
         if j is None:
             return {"type": "rule"}
-        if isinstance(j, StepParams):
-            return {"type": "params", "vars": sorted(j.vars), "direction": j.direction}
         if isinstance(j, Substitution):
             return {"type": "substitution", "fragment": self.fragment(j.derivation)}
         raise TypeError(j)
@@ -963,12 +919,8 @@ def _body_from_json(data: Mapping, graph: CausalGraph,
             after = _do_expr_from_json(json_field(sd, "after", dict), observable)
             jd = json_field(sd, "justification", dict)
             jtype = json_field(jd, "type", str)
-            if jtype == "rule":
-                just = None  # claim keys of older files are ignored
-            elif jtype == "params":
-                just = StepParams(
-                    vars=json_names(jd, "vars"), direction=json_field(jd, "direction", str)
-                )
+            if jtype in ("rule", "params"):
+                just = None  # the claim keys of older files are ignored
             elif jtype == "substitution":
                 k = json_field(jd, "fragment", int)
                 if not 0 <= k < total:
@@ -991,8 +943,9 @@ def derivation_from_json(data: Mapping) -> Derivation:
 
     Steps are decoded as stored, without replaying them, and each fragment
     into one shared :class:`Derivation`; chaining is taken as claimed, for
-    the verifier to recompute.  A rule step's justification decodes to
-    None, whatever other keys it has.  Malformed input raises ValueError.
+    the verifier to recompute.  A ``rule`` or ``params`` justification,
+    which older files write with claims about the step, decodes to None,
+    whatever other keys it has.  Malformed input raises ValueError.
     """
     where = "format"
     try:

@@ -419,7 +419,7 @@ class CausalGraph:
     def to_dot(self, name: str = "G") -> str:
         """GraphViz DOT rendering; latent nodes are drawn dashed."""
         def quoted(n: str) -> str:
-            return '"' + n.replace('"', '\\"') + '"'
+            return '"' + n.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
         lines = [f"digraph {name} {{"]
         for n, o in zip(self._names, self._obs):

@@ -490,8 +490,8 @@ class TestMalformedDerivation:
 
 
 class TestClaimedEvidence:
-    """A rule step is justified by its rewrite: the claim keys that older
-    files store with it are ignored, and other claims are checked."""
+    """Every step but a substitution is justified by its rewrite: the claim
+    keys that older files store with it are ignored."""
 
     def test_older_rule_claims_ignored(self, fd_derivation, tmp_path, capsys):
         claim = {"rule": 2, "x": [], "y": ["Y"], "z": ["X"], "w": ["Z"],
@@ -507,16 +507,42 @@ class TestClaimedEvidence:
         code, out, _ = check_file(fd_derivation, tmp_path, capsys)
         assert code == 0, out
 
-    def test_flipped_direction_exit_three(self, fd_derivation, tmp_path, capsys):
-        # Step 0 spreads P(y | do(x)) over z; read backwards it would be a
-        # marginalization that collapses z instead.
-        params = fd_derivation["steps"][0]["justification"]
-        assert params["direction"] == "introduce"
-        params["direction"] = "collapse"
+    @pytest.mark.parametrize("true_claims", [True, False], ids=["true", "false"])
+    def test_older_params_claims_ignored(self, fd_derivation, tmp_path, capsys, true_claims):
+        # Older files store the set that a chain-rule or marginalization
+        # step moves and the direction of its rewrite.  The false claims
+        # flip the direction and name the rewritten sentence's outcome.
+        claimed = set()
+        for frag in fd_derivation["fragments"] + [fd_derivation]:
+            for step in frag["steps"]:
+                after = step["after"]
+                if step["kind"] == "Marginalize":
+                    direction, moved = "introduce", after["bound"]
+                elif step["kind"] == "ChainRule" and after["kind"] == "product":
+                    direction, moved = "split", after["factors"][1]["outcome"]
+                elif step["kind"] == "ChainRule":
+                    direction, moved = "quotient", after["den"]["outcome"]
+                else:
+                    continue
+                if not true_claims:
+                    direction = {"introduce": "collapse"}.get(direction, "merge")
+                    moved = step["before"]["outcome"]
+                step["justification"] = {"type": "params", "vars": moved,
+                                         "direction": direction}
+                claimed.add(step["kind"])
+        assert claimed == {"ChainRule", "Marginalize"}
+        code, out, _ = check_file(fd_derivation, tmp_path, capsys)
+        assert code == 0, out
+
+    def test_dropped_bound_member_exit_three(self, fd_derivation, tmp_path, capsys):
+        after = next(
+            s["after"] for frag in fd_derivation["fragments"] for s in frag["steps"]
+            if s["kind"] == "Marginalize" and len(s["after"]["bound"]) >= 2)
+        del after["bound"][0]
         code, out, _ = check_file(fd_derivation, tmp_path, capsys)
         assert code == 3
-        assert out == ("derivation rejected at step 0: "
-                       "not a Marginalize step in the collapse direction\n")
+        assert out.startswith("derivation rejected at step ")
+        assert out.endswith(": not a Marginalize rewrite\n")
 
 
 class TestUnresolvedPath:
@@ -614,7 +640,7 @@ class TestGoldenOutput:
     """
 
     STDOUT = "d276d05bf008f03889c9179b3aae8f0606d7d38900ced2cc322e6fe55941a40c"
-    FILES = "65be95af804802c66f2dfd475b6fa0e91227414b135cce7c0592a95380de3aa7"
+    FILES = "9de56cd44c91e72a666d2c3668b3b0c8e1612e2939e8a71df70030b747dad26e"
 
     def test_outputs_match_recorded_hash(self, tmp_path):
         stdout, files = golden_digests(tmp_path)

@@ -13,7 +13,6 @@ from causalid.docalc import (
     Derivation,
     DerivationStep,
     DoSentence,
-    StepParams,
     Substitution,
     _get,
     _replace,
@@ -24,7 +23,7 @@ from causalid.docalc import (
     verify_derivation,
 )
 from causalid.cli import main
-from causalid.expr import One, Quotient, Sum, evaluate_grid, expr_to_json, free_vars
+from causalid.expr import One, Product, Quotient, Sum, evaluate_grid, expr_to_json, free_vars
 from causalid.graph import CausalGraph, GraphError
 from causalid.ident import causal_effect
 from causalid.oracle import DoEvaluator, observational_joint, random_model
@@ -153,7 +152,7 @@ class TestVerifyRejections:
         verdict = verify_derivation(Derivation(d.graph, d.query, d.initial, tuple(steps)))
         assert not verdict.accepted
 
-    def test_rule_step_with_justification_rejected(self, g_backdoor):
+    def test_rule_step_with_justification_rejected(self, g_backdoor, g_frontdoor):
         # A rule step is justified by its rewrite; it carries no evidence,
         # not even the true evidence of its own instance.
         d = derive_effect({"X"}, {"Y"}, g_backdoor)
@@ -168,7 +167,19 @@ class TestVerifyRejections:
         verdict = verify_derivation(
             with_step(d, idx, replace(step, justification=evidence)), models=0)
         assert (verdict.accepted, verdict.step) == (False, idx)
-        assert verdict.reason == "rule step carries a justification"
+        assert verdict.reason == f"{step.kind} step carries a justification"
+        # So is every other step but a substitution.
+        d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+        kinds = set()
+        for dd in unique_derivations(d):
+            for i, step in enumerate(dd.steps):
+                if step.kind != "FactorSubstitute":
+                    bad = replace(step, justification=Substitution(dd))
+                    verdict = verify_derivation(with_step(dd, i, bad), models=0)
+                    assert (verdict.accepted, verdict.step) == (False, i)
+                    assert verdict.reason == f"{step.kind} step carries a justification"
+                    kinds.add(step.kind)
+        assert kinds == {"Rule2", "Rule3", "ChainRule", "Marginalize"}
 
     def test_backward_substitution_rejected(self, g_frontdoor):
         # A fragment that substitutes a nested derivation from its final
@@ -214,23 +225,18 @@ class TestVerifyRejections:
         tampered = Derivation(dd.graph, dd.query, dd.initial, tuple(steps))
         assert not verify_derivation(tampered, models=0).accepted
 
-    def test_single_normalize_to_one_accepts(self, g_chain):
+    def test_normalize_to_one_is_an_unknown_kind(self, g_chain):
+        # Files written by earlier versions may hold a NormalizeToOne step
+        # with its claimed set and direction; the claim decodes to nothing,
+        # and the kind is not one the verifier knows.
         before = Sum({"Y"}, DoSentence(frozenset({"Y"}), frozenset(), frozenset()))
-        d = Derivation(
-            graph=g_chain,
-            query=None,
-            initial=before,
-            steps=(
-                DerivationStep(
-                    "NormalizeToOne",
-                    (),
-                    before,
-                    One(),
-                    StepParams(vars=frozenset({"Y"}), direction="collapse"),
-                ),
-            ),
-        )
-        assert verify_derivation(d).accepted
+        step = DerivationStep("NormalizeToOne", (), before, One(), None)
+        data = derivation_to_json(Derivation(g_chain, None, before, (step,)))
+        data["steps"][0]["justification"] = {
+            "type": "params", "vars": ["Y"], "direction": "collapse"}
+        verdict = verify_derivation(derivation_from_json(data))
+        assert (verdict.accepted, verdict.step) == (False, 0)
+        assert verdict.reason == "unknown step kind 'NormalizeToOne'"
 
     def test_marginalize_schema_rejects_quotient_rewrite(self, g_chain):
         # A Marginalize step whose rewrite is a quotient of two marginalized
@@ -240,14 +246,11 @@ class TestVerifyRejections:
         after = Sum(
             {"Y"}, DoSentence(frozenset({"Z", "Y"}), frozenset({"X"}), frozenset())
         )
-        step = DerivationStep(
-            "Marginalize", (), before, Quotient(after, after),
-            StepParams(frozenset({"Y"}), "introduce"),
-        )
+        step = DerivationStep("Marginalize", (), before, Quotient(after, after), None)
         d = Derivation(g_chain, None, before, (step,))
         verdict = verify_derivation(d)
         assert (verdict.accepted, verdict.step) == (False, 0)
-        assert verdict.reason == "not a Marginalize step in the introduce direction"
+        assert verdict.reason == "not a Marginalize rewrite"
 
     def test_numeric_rejection_reports_first_failing_model(self, g_chain, monkeypatch):
         # The step above with its structural schema switched off, so that
@@ -255,13 +258,11 @@ class TestVerifyRejections:
         # stack, but the rejection reads as a model-by-model loop's: the
         # error of the first model in seed order that exceeds the
         # tolerance, which here is not the largest error.
-        monkeypatch.setitem(docalc._SCHEMAS, ("Marginalize", "introduce"),
-                            (lambda *sides: True, False))
+        monkeypatch.setattr(docalc, "_marginal", lambda *sides: True)
         before = DoSentence(frozenset({"Z"}), frozenset({"X"}), frozenset())
         after = Sum({"Y"}, DoSentence(frozenset({"Z", "Y"}), frozenset({"X"}), frozenset()))
         after = Quotient(after, after)
-        step = DerivationStep("Marginalize", (), before, after,
-                              StepParams(frozenset({"Y"}), "introduce"))
+        step = DerivationStep("Marginalize", (), before, after, None)
         d = Derivation(g_chain, None, before, (step,))
         frees = sorted(free_vars(before) | free_vars(after))
         errs = []
@@ -440,72 +441,40 @@ def unique_derivations(d):
     return list(seen.values())
 
 
-OPPOSITE = {"split": "merge", "merge": "split", "introduce": "collapse",
-            "collapse": "introduce"}
-
-
 def with_step(d, i, step):
     """``d`` with step ``i`` replaced by ``step``."""
     return Derivation(d.graph, d.query, d.initial, d.steps[:i] + (step,) + d.steps[i + 1:])
 
 
-def with_direction(d, i, direction):
-    """``d`` with the direction of step ``i`` replaced."""
-    step = d.steps[i]
-    return with_step(d, i, replace(
-        step, justification=StepParams(step.justification.vars, direction)))
-
-
-class TestDirections:
-    """The verifier checks each structural step in the orientation that its
-    direction names, not in whichever orientation fits."""
-
-    def test_flipped_direction_rejected(self, g_chain):
-        # No derivation writes a NormalizeToOne step any more, but files
-        # written earlier hold them; the hand-built one covers that kind.
-        before = Sum({"Y"}, DoSentence(frozenset({"Y"}), frozenset(), frozenset()))
-        normalize = Derivation(g_chain, None, before, (DerivationStep(
-            "NormalizeToOne", (), before, One(),
-            StepParams(vars=frozenset({"Y"}), direction="collapse"),
-        ),))
-        flipped = set()
-        for d in [*sweep_derivations(), normalize]:
-            for dd in unique_derivations(d):
-                for i, step in enumerate(dd.steps):
-                    params = step.justification
-                    if not isinstance(params, StepParams):
-                        continue
-                    if params.direction not in OPPOSITE:
-                        assert (step.kind, params.direction) == ("ChainRule", "quotient")
-                        continue
-                    bad = with_direction(dd, i, OPPOSITE[params.direction])
-                    verdict = verify_derivation(bad, models=0)
-                    assert not verdict.accepted and verdict.step == i, (step.kind, params)
-                    flipped.add((step.kind, params.direction))
-        assert flipped == {
-            ("ChainRule", "split"), ("ChainRule", "merge"), ("Marginalize", "introduce"),
-            ("NormalizeToOne", "collapse"),
-        }
-
-    def test_unknown_direction_rejected(self, g_frontdoor):
-        d = derive_effect({"X"}, {"Y"}, g_frontdoor)
-        for dd in unique_derivations(d):
-            for i, step in enumerate(dd.steps):
-                if isinstance(step.justification, StepParams):
-                    verdict = verify_derivation(with_direction(dd, i, "sideways"), models=0)
-                    assert (verdict.accepted, verdict.step) == (False, i)
-                    assert verdict.reason.startswith("unknown direction 'sideways'")
+def dropped_member_mutant(step):
+    """The name of the mutation and ``step`` with one member dropped from a
+    set that its rewrite moves; None for a rule step, a substitution, a
+    chain merge, or a marginalization over one variable.  A chain split moves its second
+    factor's outcome into its first factor's given; a quotient moves its
+    denominator's outcome into its numerator's outcome."""
+    b, a = step.before, step.after
+    if step.kind == "Marginalize" and len(a.bound) >= 2:
+        return "marginalize", replace(step, after=Sum(a.bound - {min(a.bound)}, a.body))
+    if step.kind == "ChainRule" and isinstance(b, DoSentence) and isinstance(a, Product):
+        first, second = a.factors
+        moved = first.given - b.given
+        dropped = replace(first, given=first.given - {min(moved)})
+        return "split", replace(step, after=Product([dropped, second]))
+    if step.kind == "ChainRule" and isinstance(a, Quotient):
+        num = replace(a.num, outcome=a.num.outcome - {min(a.den.outcome)})
+        return "quotient", replace(step, after=Quotient(num, a.den))
+    return None
 
 
 class TestSetMutations:
     """Dropping one member of a set that a step moves is caught."""
 
     def test_dropped_member_rejected(self):
-        rule3 = marginalize = 0
+        rule3 = 0
+        mutated = set()
         for d in sweep_derivations():
             for dd in unique_derivations(d):
                 for i, step in enumerate(dd.steps):
-                    just = step.justification
                     moved = step.before.do ^ step.after.do if step.kind == "Rule3" else ()
                     if len(moved) >= 2:
                         # The rewrite leaves one member of the moved set
@@ -515,13 +484,41 @@ class TestSetMutations:
                         bad = replace(step, after=after)
                         assert not verify_derivation(with_step(dd, i, bad), models=0).accepted
                         rule3 += 1
-                    if step.kind == "Marginalize" and len(just.vars) >= 2:
-                        params = replace(just, vars=just.vars - {min(just.vars)})
-                        verdict = verify_derivation(
-                            with_step(dd, i, replace(step, justification=params)), models=0)
-                        assert (verdict.accepted, verdict.step) == (False, i)
-                        marginalize += 1
-        assert rule3 and marginalize
+                    mutant = dropped_member_mutant(step)
+                    if mutant is not None:
+                        # The later steps would not chain from the mutated
+                        # state, so the mutant ends at the mutated step.
+                        name, bad = mutant
+                        cut = Derivation(dd.graph, None, dd.initial, dd.steps[:i] + (bad,))
+                        verdict = verify_derivation(cut, models=0)
+                        assert (verdict.accepted, verdict.step) == (False, i), (name, bad)
+                        assert verdict.reason == f"not a {step.kind} rewrite"
+                        mutated.add(name)
+        assert rule3 and mutated == {"marginalize", "split", "quotient"}
+
+
+class TestReversedRewrites:
+    """A chain-rule or marginalization step is an equality, so the verifier
+    accepts it read in either direction."""
+
+    @staticmethod
+    def reversed_step(g, kind, fits):
+        """A one-step derivation that rewrites the ``after`` of the first
+        front-door step of ``kind`` that ``fits`` back into its ``before``."""
+        d = derive_effect({"X"}, {"Y"}, g)
+        step = next(s for s in all_steps(d) if s.kind == kind and fits(s))
+        return Derivation(g, None, step.after, (
+            DerivationStep(kind, (), step.after, step.before, None),))
+
+    def test_merge_written_as_reversed_split_accepted(self, g_frontdoor):
+        merge = self.reversed_step(g_frontdoor, "ChainRule",
+                                   lambda s: isinstance(s.after, Product))
+        assert verify_derivation(merge).accepted
+
+    def test_collapsing_marginalization_accepted(self, g_frontdoor):
+        collapse = self.reversed_step(g_frontdoor, "Marginalize", lambda s: True)
+        assert isinstance(collapse.initial, Sum)
+        assert verify_derivation(collapse).accepted
 
 
 class TestRetargetedFragments:

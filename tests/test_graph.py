@@ -301,7 +301,9 @@ class TestTextFormat:
         dot = g_bow.to_dot()
         assert '"U" [style=dashed];' in dot
         assert '"X" -> "Y";' in dot
-        # A quote inside a name is escaped, so each name stays one DOT id.
-        dot = parse_graph_text('node a"b obs\nnode Y lat\nedge a"b Y\n').to_dot()
-        assert dot.splitlines()[1:4] == [
-            '  "a\\"b";', '  "Y" [style=dashed];', '  "a\\"b" -> "Y";']
+        # A quote or backslash inside a name is escaped, so each name stays
+        # one DOT id.
+        for name, escaped in [('a"b', 'a\\"b'), ('a\\', 'a\\\\')]:
+            dot = parse_graph_text(f"node {name} obs\nnode Y lat\nedge {name} Y\n").to_dot()
+            assert dot.splitlines()[1:4] == [
+                f'  "{escaped}";', '  "Y" [style=dashed];', f'  "{escaped}" -> "Y";']
