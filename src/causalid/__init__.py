@@ -16,6 +16,7 @@ from .docalc import (
     Verdict,
     derivation_from_json,
     derivation_to_json,
+    derivation_to_text,
     derive_effect,
     expand_rule1,
     verify_derivation,
@@ -32,6 +33,7 @@ from .expr import (
     evaluate_grid,
     expr_from_json,
     expr_to_json,
+    expr_to_text,
     free_vars,
     pretty,
     simplify,
@@ -90,6 +92,7 @@ __all__ = [
     "canonicalize",
     "simplify",
     "pretty",
+    "expr_to_text",
     "expr_to_json",
     "expr_from_json",
     "QFactor",
@@ -106,6 +109,7 @@ __all__ = [
     "derive_effect",
     "expand_rule1",
     "verify_derivation",
+    "derivation_to_text",
     "derivation_to_json",
     "derivation_from_json",
     "DiscreteModel",

@@ -16,10 +16,12 @@ rejected, 1 usage or input error.  Identical inputs and seeds produce
 byte-identical output.
 
 ``derive --out`` writes a format-2 derivation file (see
-:func:`causalid.docalc.derivation_to_json`) as compact JSON with sorted
+:func:`causalid.docalc.derivation_to_text`) as compact JSON with sorted
 keys: the graph once, a table of nested fragments each written once, and
-steps that store only a path and the rewritten subexpression.  ``check``
-reads format 2 only; any other version, or a malformed file, exits 1.
+steps that store only a path and the rewritten subexpression.  The file is
+joined from the JSON text that each expression node keeps, with no dict
+tree built for it.  ``check`` reads format 2 only, into one shared node per
+distinct subexpression; any other version, or a malformed file, exits 1.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .ccomp import c_components
 from .docalc import (
     Derivation,
     Verdict,
     derivation_from_json,
-    derivation_to_json,
+    derivation_to_text,
     derive_effect,
     verify_derivation,
 )
@@ -59,11 +62,13 @@ def _load_graph(path: str) -> CausalGraph:
     return parse_graph_text(text)
 
 
-def _emit(data: dict, as_json: bool, human: str) -> None:
+def _emit(data: dict, as_json: bool, human: str | Callable[[], str]) -> None:
+    """Print ``data`` as JSON, or the human text; a callable ``human`` is
+    called only when its text is printed."""
     if as_json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(human)
+        print(human() if callable(human) else human)
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
@@ -112,14 +117,12 @@ def _cmd_derive(args) -> int:
               "not identifiable")
         return EXIT_NOT_IDENTIFIABLE
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(derivation_to_json(d), sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        Path(args.out).write_text(derivation_to_text(d) + "\n")
     final = d.final
     _emit(
         {"identifiable": True, "steps": len(d.steps), "final": expr_to_json(final)},
         args.json,
-        f"derivation with {len(d.steps)} steps\n  final = {pretty(final)}",
+        lambda: f"derivation with {len(d.steps)} steps\n  final = {pretty(final)}",
     )
     return EXIT_OK
 

@@ -45,6 +45,7 @@ interventional-sentence evaluator.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -59,7 +60,7 @@ from .expr import (
     Quotient,
     Sum,
     expr_from_json,
-    expr_to_json,
+    expr_to_text,
     free_vars,
     iter_leaves,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "derive_effect",
     "expand_rule1",
     "verify_derivation",
+    "derivation_to_text",
     "derivation_to_json",
     "derivation_from_json",
 ]
@@ -790,6 +792,8 @@ def verify_derivation(
 
 FORMAT = 2
 
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class _Encoder:
     """Writes the fragment table of one derivation file.  A class, not
@@ -799,7 +803,7 @@ class _Encoder:
 
     def __init__(self, graph: CausalGraph):
         self.graph = graph
-        self.fragments: list[dict] = []
+        self.fragments: list[str] = []
         self.index: dict[int, int] = {}
 
     def fragment(self, nested: Derivation) -> int:
@@ -809,58 +813,61 @@ class _Encoder:
                 raise ValueError(
                     "a nested derivation must be a fragment on the derivation's graph"
                 )
-            body = self.body(nested)
+            initial, steps = self.members(nested)
             k = self.index[id(nested)] = len(self.fragments)
-            self.fragments.append(body)
+            self.fragments.append('{"initial":' + initial + ',"steps":' + steps + "}")
         return k
 
-    def justification(self, j) -> dict:
+    def justification(self, j) -> str:
         if j is None:
-            return {"type": "rule"}
+            return '{"type":"rule"}'
         if isinstance(j, Substitution):
-            return {"type": "substitution", "fragment": self.fragment(j.derivation)}
+            return '{"fragment":' + str(self.fragment(j.derivation)) + ',"type":"substitution"}'
         raise TypeError(j)
 
-    def body(self, x: Derivation) -> dict:
-        return {
-            "initial": None if x.initial is None else expr_to_json(x.initial),
-            "steps": [
-                {
-                    "kind": step.kind,
-                    "path": list(step.path),
-                    "before": expr_to_json(step.before),
-                    "after": expr_to_json(step.after),
-                    "justification": self.justification(step.justification),
-                }
-                for step in x.steps
-            ],
-        }
+    def members(self, x: Derivation) -> tuple[str, str]:
+        """The texts of the ``initial`` and ``steps`` values of ``x``."""
+        steps = ",".join([
+            '{"after":' + expr_to_text(step.after)
+            + ',"before":' + expr_to_text(step.before)
+            + ',"justification":' + self.justification(step.justification)
+            + ',"kind":' + _compact(step.kind)
+            + ',"path":' + _compact(list(step.path)) + "}"
+            for step in x.steps
+        ])
+        return "null" if x.initial is None else expr_to_text(x.initial), "[" + steps + "]"
 
 
-def derivation_to_json(d: Derivation) -> dict:
-    """Encode ``d`` as a format-2 derivation file.
+def derivation_to_text(d: Derivation) -> str:
+    """``d`` as a format-2 derivation file: compact JSON text with sorted
+    keys.
 
     The graph is written once.  Nested derivations become entries of
     ``"fragments"``, each written once (shared fragments are found by
     identity) and after every fragment it refers to.  Each body stores its
     ``initial`` expression and its steps' fields as they are: the ``path``
     and the subexpressions at that path before and after the rewrite.
+    Every expression is the text that :func:`expr_to_text` keeps on its
+    node, so a subexpression shared by several steps is written from one
+    string, and the file is those texts joined with the few fields that are
+    not expressions.
     """
     graph = d.graph
     encoder = _Encoder(graph)
-    root = encoder.body(d)
-    return {
-        "format": FORMAT,
-        "graph": graph.to_json(),
-        "query": None
-        if d.query is None
-        else {
-            "do": list(graph.sorted_nodes(d.query[0])),
-            "on": list(graph.sorted_nodes(d.query[1])),
-        },
-        "fragments": encoder.fragments,
-        **root,
+    initial, steps = encoder.members(d)
+    query = None if d.query is None else {
+        "do": list(graph.sorted_nodes(d.query[0])),
+        "on": list(graph.sorted_nodes(d.query[1])),
     }
+    return ('{"format":' + str(FORMAT) + ',"fragments":[' + ",".join(encoder.fragments)
+            + '],"graph":' + _compact(graph.to_json()) + ',"initial":' + initial
+            + ',"query":' + _compact(query) + ',"steps":' + steps + "}")
+
+
+def derivation_to_json(d: Derivation) -> dict:
+    """The format-2 file of ``d`` (see :func:`derivation_to_text`) as
+    decoded JSON."""
+    return json.loads(derivation_to_text(d))
 
 
 def _path_from_json(data: list) -> Path:
@@ -870,34 +877,54 @@ def _path_from_json(data: list) -> Path:
     return tuple(data)
 
 
-def _do_expr_from_json(data, observable: frozenset[str]) -> DoExpr:
-    """Decode an expression whose leaves must be sentences over observable
-    nodes, so that no later evaluation meets an unknown variable."""
-    e = expr_from_json(data)
-    todo = [e]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, DoSentence):
-            names = node.leaf_vars
-        elif isinstance(node, Sum):
-            names = node.bound
-            todo.append(node.body)
-        elif isinstance(node, Product):
-            todo.extend(node.factors)
-            continue
-        elif isinstance(node, Quotient):
-            todo += (node.num, node.den)
-            continue
-        elif isinstance(node, One):
-            continue
-        else:
-            raise ValueError("derivation expressions must have sentences as leaves")
-        if not names <= observable:
-            raise ValueError(f"{min(names - observable)!r} is not an observable node")
-    return e
+class _Decoder:
+    """Decodes the expressions of one derivation file into shared nodes.
+
+    Every subexpression that recurs in the file decodes to one object (see
+    :func:`expr_from_json`), and the check that a node names only
+    observable nodes runs once per node."""
+
+    def __init__(self, graph: CausalGraph):
+        self.graph = graph
+        self.observable = frozenset(graph.observable_names)
+        self.memo: dict = {}
+        self.checked: set[int] = set()  # ids of the nodes checked, all kept by memo
+
+    def expr(self, data) -> DoExpr:
+        """Decode an expression whose leaves must be sentences over
+        observable nodes, so that no later evaluation meets an unknown
+        variable.  The nodes are checked in the same order as without
+        sharing: a node checked earlier in the file has passed, so skipping
+        it changes neither the outcome nor the first error."""
+        e = expr_from_json(data, self.memo)
+        checked, observable = self.checked, self.observable
+        todo = [e]
+        while todo:
+            node = todo.pop()
+            if id(node) in checked:
+                continue
+            checked.add(id(node))
+            if isinstance(node, DoSentence):
+                names = node.leaf_vars
+            elif isinstance(node, Sum):
+                names = node.bound
+                todo.append(node.body)
+            elif isinstance(node, Product):
+                todo.extend(node.factors)
+                continue
+            elif isinstance(node, Quotient):
+                todo += (node.num, node.den)
+                continue
+            elif isinstance(node, One):
+                continue
+            else:
+                raise ValueError("derivation expressions must have sentences as leaves")
+            if not names <= observable:
+                raise ValueError(f"{min(names - observable)!r} is not an observable node")
+        return e
 
 
-def _body_from_json(data: Mapping, graph: CausalGraph,
+def _body_from_json(data: Mapping, decoder: _Decoder,
                     query: tuple[frozenset[str], frozenset[str]] | None,
                     fragments: list[Derivation], total: int) -> Derivation:
     """Decode one ``{"initial", "steps"}`` body.  ``fragments`` holds the
@@ -907,16 +934,15 @@ def _body_from_json(data: Mapping, graph: CausalGraph,
     initial = json_field(data, "initial", (dict, type(None)))
     if steps_data and initial is None:
         raise ValueError("'initial' must be an object when there are steps")
-    observable = frozenset(graph.observable_names)
     if initial is not None:
-        initial = _do_expr_from_json(initial, observable)
+        initial = decoder.expr(initial)
     steps = []
     for i, sd in enumerate(steps_data):
         try:
             kind = json_field(sd, "kind", str)
             path = _path_from_json(json_field(sd, "path", list))
-            before = _do_expr_from_json(json_field(sd, "before", dict), observable)
-            after = _do_expr_from_json(json_field(sd, "after", dict), observable)
+            before = decoder.expr(json_field(sd, "before", dict))
+            after = decoder.expr(json_field(sd, "after", dict))
             jd = json_field(sd, "justification", dict)
             jtype = json_field(jd, "type", str)
             if jtype in ("rule", "params"):
@@ -935,15 +961,18 @@ def _body_from_json(data: Mapping, graph: CausalGraph,
         except ValueError as err:
             raise ValueError(f"steps[{i}]: {err}") from None
         steps.append(DerivationStep(kind, path, before, after, just))
-    return Derivation(graph, query, initial, tuple(steps))
+    return Derivation(decoder.graph, query, initial, tuple(steps))
 
 
 def derivation_from_json(data: Mapping) -> Derivation:
-    """Decode a format-2 derivation file (see :func:`derivation_to_json`).
+    """Decode a format-2 derivation file (see :func:`derivation_to_text`).
 
     Steps are decoded as stored, without replaying them, and each fragment
     into one shared :class:`Derivation`; chaining is taken as claimed, for
-    the verifier to recompute.  A ``rule`` or ``params`` justification,
+    the verifier to recompute.  Expressions are hash-consed per file: each
+    distinct subexpression is validated once and decodes to one node that
+    every occurrence shares, so the verifier's equality tests on them end
+    at identity.  A ``rule`` or ``params`` justification,
     which older files write with claims about the step, decodes to None,
     whatever other keys it has.  Malformed input raises ValueError.
     """
@@ -954,6 +983,7 @@ def derivation_from_json(data: Mapping) -> Derivation:
             raise ValueError(f"unsupported version {version} (this reader takes {FORMAT})")
         where = "graph"
         graph = CausalGraph.from_json(json_field(data, "graph", dict))
+        decoder = _Decoder(graph)
         where = "query"
         qd = json_field(data, "query", (dict, type(None)))
         query = None
@@ -963,16 +993,16 @@ def derivation_from_json(data: Mapping) -> Derivation:
                 raise ValueError("'do' and 'on' must be nonempty")
             if t & s:
                 raise ValueError(f"{min(t & s)!r} is in both 'do' and 'on'")
-            observable = frozenset(graph.observable_names)
-            if not t | s <= observable:
-                raise ValueError(f"{min((t | s) - observable)!r} is not an observable node")
+            outside = (t | s) - decoder.observable
+            if outside:
+                raise ValueError(f"{min(outside)!r} is not an observable node")
         fragments: list[Derivation] = []
         where = "fragments"
         fragments_data = json_field(data, "fragments", list)
         for k, fd in enumerate(fragments_data):
             where = f"fragments[{k}]"
-            fragments.append(_body_from_json(fd, graph, None, fragments, len(fragments_data)))
+            fragments.append(_body_from_json(fd, decoder, None, fragments, len(fragments_data)))
         where = "derivation"
-        return _body_from_json(data, graph, query, fragments, len(fragments))
+        return _body_from_json(data, decoder, query, fragments, len(fragments))
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None

@@ -17,6 +17,7 @@ here treat any non-``One`` leaf through its ``leaf_vars`` attribute.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,6 +40,7 @@ __all__ = [
     "evaluate_grid",
     "canonicalize",
     "simplify",
+    "expr_to_text",
     "expr_to_json",
     "expr_from_json",
     "pretty",
@@ -245,9 +247,8 @@ def canonicalize(e):
 
     Flattens nested products, drops unit factors and unit denominators,
     merges directly nested sums with disjoint bound sets, unwraps empty
-    sums, and orders product factors by their structural key: the
-    sorted-key JSON text of :func:`expr_to_json`, built once per node from
-    its children's keys.  The result is kept on the node, and a canonical
+    sums, and orders product factors by their structural key, the text of
+    :func:`expr_to_text`.  The result is kept on the node, and a canonical
     node maps to itself, so canonicalizing a subtree again costs O(1).
     """
     if not isinstance(e, (Sum, Product, Quotient)):
@@ -284,7 +285,7 @@ def _canonical_form(e):
             return One()
         if len(factors) == 1:
             return factors[0]
-        factors.sort(key=_structural_key)
+        factors.sort(key=expr_to_text)
         return Product(factors)
     num, den = canonicalize(e.num), canonicalize(e.den)
     if isinstance(den, One):
@@ -324,8 +325,17 @@ def simplify(e):
     return e
 
 
-def _structural_key(e) -> str:
-    """``json.dumps(expr_to_json(e), sort_keys=True)``, kept on the node."""
+# -- serialization -------------------------------------------------------------
+
+
+def expr_to_text(e) -> str:
+    """``json.dumps(expr_to_json(e), sort_keys=True, separators=(",", ":"))``,
+    built once per node from its children's texts and kept on the node.
+
+    The text is also the node's structural key, which orders the factors of
+    a canonical product.  Writing a space after each structural ``,`` and
+    ``:`` would not change that order: two texts first differ at the same
+    character either way."""
     memo = e.__dict__
     if "_key" not in memo:
         memo["_key"] = _build_key(e)
@@ -333,32 +343,31 @@ def _structural_key(e) -> str:
 
 
 def _build_key(e) -> str:
-    """The sorted-key JSON text of ``e``, from its children's keys."""
+    """The text of ``e``, from its children's texts."""
     if isinstance(e, One):
-        return '{"kind": "one"}'
+        return '{"kind":"one"}'
     if isinstance(e, JointMarginal):
-        return '{"kind": "marginal", "vars": ' + _names_key(e.vars) + "}"
+        return '{"kind":"marginal","vars":' + _names_key(e.vars) + "}"
     if isinstance(e, Sum):
-        return ('{"body": ' + _structural_key(e.body) + ', "bound": ' + _names_key(e.bound)
-                + ', "kind": "sum"}')
+        return ('{"body":' + expr_to_text(e.body) + ',"bound":' + _names_key(e.bound)
+                + ',"kind":"sum"}')
     if isinstance(e, Product):
-        return ('{"factors": [' + ", ".join(map(_structural_key, e.factors))
-                + '], "kind": "product"}')
+        return '{"factors":[' + ",".join(map(expr_to_text, e.factors)) + '],"kind":"product"}'
     if isinstance(e, Quotient):
-        return ('{"den": ' + _structural_key(e.den) + ', "kind": "quotient", "num": '
-                + _structural_key(e.num) + "}")
+        return ('{"den":' + expr_to_text(e.den) + ',"kind":"quotient","num":'
+                + expr_to_text(e.num) + "}")
     if isinstance(e, DoSentence):
-        return ('{"do": ' + _names_key(e.do) + ', "given": ' + _names_key(e.given)
-                + ', "kind": "sentence", "outcome": ' + _names_key(e.outcome) + "}")
+        return ('{"do":' + _names_key(e.do) + ',"given":' + _names_key(e.given)
+                + ',"kind":"sentence","outcome":' + _names_key(e.outcome) + "}")
     raise TypeError(f"cannot encode {e!r}")
 
 
+@functools.lru_cache(maxsize=4096)
 def _names_key(names: frozenset[str]) -> str:
-    """``json.dumps(sorted(names))``, without the encoder's set-up."""
-    return "[" + ", ".join(map(encode_basestring_ascii, sorted(names))) + "]"
-
-
-# -- serialization -------------------------------------------------------------
+    """``json.dumps(sorted(names))`` in compact form, without the encoder's
+    set-up.  Cached: the nodes of one derivation use each name set several
+    times."""
+    return "[" + ",".join(map(encode_basestring_ascii, sorted(names))) + "]"
 
 
 def expr_to_json(e) -> dict:
@@ -382,27 +391,63 @@ def expr_to_json(e) -> dict:
     raise TypeError(f"cannot encode {e!r}")
 
 
-def expr_from_json(data: Mapping):
-    """Inverse of :func:`expr_to_json`; malformed input raises ValueError."""
+def expr_from_json(data: Mapping, memo: dict | None = None):
+    """Inverse of :func:`expr_to_json`; malformed input raises ValueError.
+
+    Nodes are hash-consed: ``memo`` maps each node decoded so far, keyed by
+    its class, its name sets and its children's identities, to that node,
+    and each name list already validated to its set.  A subexpression that
+    recurs is validated in full the first time and found in ``memo`` after
+    that, so it decodes to the same object.  Validation runs in the same
+    order either way, and a repeat has passed it once, so the first error
+    of malformed input does not depend on ``memo``.  Pass one dict to
+    several calls to share nodes among them; keep it for as long as their
+    results, since its keys hold the identities of the nodes it keeps.
+    """
+    return _decode(data, {} if memo is None else memo)
+
+
+def _decode(data, memo: dict):
     kind = json_field(data, "kind", str)
-    if kind == "one":
-        return One()
-    if kind == "marginal":
-        return JointMarginal(json_names(data, "vars"))
-    if kind == "sum":
-        return Sum(json_names(data, "bound"), expr_from_json(json_field(data, "body", dict)))
-    if kind == "product":
-        return Product(expr_from_json(f) for f in json_field(data, "factors", list))
-    if kind == "quotient":
-        return Quotient(
-            expr_from_json(json_field(data, "num", dict)),
-            expr_from_json(json_field(data, "den", dict)),
-        )
     if kind == "sentence":
-        return DoSentence(
-            json_names(data, "outcome"), json_names(data, "do"), json_names(data, "given")
-        )
-    raise ValueError(f"unknown expression kind {kind!r}")
+        args = tuple([_names(data, k, memo) for k in ("outcome", "do", "given")])
+        cls, key = DoSentence, (DoSentence, *args)
+    elif kind == "sum":
+        bound = _names(data, "bound", memo)
+        body = _decode(json_field(data, "body", dict), memo)
+        cls, args, key = Sum, (bound, body), (Sum, bound, id(body))
+    elif kind == "product":
+        factors = tuple([_decode(f, memo) for f in json_field(data, "factors", list)])
+        cls, args, key = Product, (factors,), (Product, *map(id, factors))
+    elif kind == "quotient":
+        num = _decode(json_field(data, "num", dict), memo)
+        den = _decode(json_field(data, "den", dict), memo)
+        cls, args, key = Quotient, (num, den), (Quotient, id(num), id(den))
+    elif kind == "marginal":
+        names = _names(data, "vars", memo)
+        cls, args, key = JointMarginal, (names,), (JointMarginal, names)
+    elif kind == "one":
+        cls, args, key = One, (), (One,)
+    else:
+        raise ValueError(f"unknown expression kind {kind!r}")
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = cls(*args)
+    return node
+
+
+def _names(data: dict, key: str, memo: dict) -> frozenset[str]:
+    """:func:`json_names` of the object ``data``, each distinct list
+    validated once.  A list is kept by its tuple of names, which no node
+    key equals: node keys hold a class, which no decoded JSON does."""
+    names = data.get(key)
+    if type(names) is list:
+        try:
+            return memo[tuple(names)]
+        except (KeyError, TypeError):  # not seen yet, or holds an unhashable value
+            pass
+    out = memo[tuple(names)] = json_names(data, key)
+    return out
 
 
 # -- rendering -----------------------------------------------------------------

@@ -141,6 +141,15 @@ class TestDeriveAndCheck:
         assert code == 3
         assert "rejected" in capsys.readouterr().out
 
+    def test_json_builds_no_human_text(self, graphs, tmp_path, monkeypatch, capsys):
+        def no_pretty(e):
+            raise AssertionError("pretty called under --json")
+
+        monkeypatch.setattr(cli, "pretty", no_pretty)
+        assert main(["derive", "--graph", graphs["fd"], "--do", "X", "--on", "Y",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["identifiable"] is True
+
     def test_derive_bow_exit_two(self, graphs):
         assert main(["derive", "--graph", graphs["bow"], "--do", "X", "--on", "Y"]) == 2
 
@@ -413,6 +422,12 @@ def _top_substitution(data):
     return next(s for s in data["steps"] if s["kind"] == "FactorSubstitute")
 
 
+def _sentences(*outcomes):
+    """A product of one sentence per outcome name."""
+    return {"kind": "product", "factors": [
+        {"kind": "sentence", "outcome": [v], "do": [], "given": []} for v in outcomes]}
+
+
 # name -> (in-place edit of the front-door file, text the error must contain)
 MALFORMED = {
     "format missing": (lambda d: d.pop("format"), "missing key 'format'"),
@@ -428,8 +443,18 @@ MALFORMED = {
                         "'path' must be a list"),
     "names not strings": (lambda d: d["steps"][0]["before"].update(outcome=[1]),
                           "'outcome' must be a list of strings"),
+    "names holding an object": (lambda d: d["steps"][0]["before"].update(outcome=[{"X": 1}]),
+                                "'outcome' must be a list of strings"),
+    "names holding a list": (lambda d: d["steps"][0]["before"].update(do=[["X"]]),
+                             "'do' must be a list of strings"),
     "unknown variable": (lambda d: d["steps"][0]["before"].update(outcome=["Q"]),
                          "'Q' is not an observable node"),
+    # The nodes are checked from the last factor back.
+    "two unknown variables": (lambda d: d["steps"][0].update(before=_sentences("Q", "R")),
+                              "'R' is not an observable node"),
+    "unknown variable twice": (
+        lambda d: d["steps"][0].update(before=_sentences("Q", "R", "Q")),
+        "'Q' is not an observable node"),
     "latent variable": (lambda d: d["steps"][0]["before"].update(outcome=["U"]),
                         "'U' is not an observable node"),
     "unknown expression kind": (lambda d: d["steps"][0]["before"].update(kind="cube"),

@@ -2,6 +2,7 @@
 rule-1 elimination property."""
 
 import gc
+import json
 import weakref
 from dataclasses import replace
 
@@ -18,12 +19,22 @@ from causalid.docalc import (
     _replace,
     derivation_from_json,
     derivation_to_json,
+    derivation_to_text,
     derive_effect,
     expand_rule1,
     verify_derivation,
 )
 from causalid.cli import main
-from causalid.expr import One, Product, Quotient, Sum, evaluate_grid, expr_to_json, free_vars
+from causalid.expr import (
+    One,
+    Product,
+    Quotient,
+    Sum,
+    evaluate_grid,
+    expr_to_json,
+    expr_to_text,
+    free_vars,
+)
 from causalid.graph import CausalGraph, GraphError
 from causalid.ident import causal_effect
 from causalid.oracle import DoEvaluator, observational_joint, random_model
@@ -497,6 +508,61 @@ class TestSetMutations:
         assert rule3 and mutated == {"marginalize", "split", "quotient"}
 
 
+def open_directed_path(g, u, targets, blocked) -> bool:
+    """Whether a directed path leads from ``u`` to a member of ``targets``
+    through no node of ``blocked``."""
+    todo, seen = [u], {u}
+    while todo:
+        node = todo.pop()
+        for p, c in g.edges:
+            if p == node and c not in seen:
+                if c in targets:
+                    return True
+                if c not in blocked:
+                    seen.add(c)
+                    todo.append(c)
+    return False
+
+
+def swapped_member_mutants(g, step):
+    """``step``, if it deletes actions by rule 3, with one deleted action v
+    swapped for a kept one u: the mutant keeps v and deletes u.  Only those
+    u are taken from which a directed path leads into the outcome through
+    no action, observation or moved variable of the mutant.  Cutting edges
+    into the actions and into the deleted ones leaves that path whole, and
+    it is open given the actions and observations, so the rule-3 condition
+    fails.  (Each rule-3 sentence the compiler writes names every
+    observable, so an insertion has no variable outside it to swap in.)"""
+    b, a = step.before, step.after
+    if step.kind != "Rule3" or not a.do < b.do:
+        return
+    blocked = b.do | b.given
+    for v in sorted(b.do - a.do):
+        for u in sorted(a.do):
+            if open_directed_path(g, u, b.outcome, blocked - {u}):
+                yield replace(step, after=replace(a, do=a.do ^ {u, v}))
+
+
+class TestSwappedRule3Members:
+    """A rule-3 step that deletes an action which is not d-separated from
+    the outcome is rejected by the separation test itself, not by a later
+    step that fails to chain."""
+
+    def test_swapped_member_fails_separation(self):
+        mutants = 0
+        for d in sweep_derivations():
+            for dd in unique_derivations(d):
+                for i, step in enumerate(dd.steps):
+                    for bad in swapped_member_mutants(dd.graph, step):
+                        cut = Derivation(dd.graph, None, dd.initial, dd.steps[:i] + (bad,))
+                        verdict = verify_derivation(cut, models=0)
+                        assert (verdict.accepted, verdict.step) == (False, i), bad
+                        assert verdict.reason == \
+                            "separation condition fails on the mutilated graph"
+                        mutants += 1
+        assert mutants >= 20
+
+
 class TestReversedRewrites:
     """A chain-rule or marginalization step is an equality, so the verifier
     accepts it read in either direction."""
@@ -563,7 +629,113 @@ class TestLifetime:
                 gc.enable()
 
 
+class RefEncoder:
+    """The format-2 file as a dict tree, for ``json.dumps`` to write: the
+    encoder that wrote each file before the text encoder, kept as the
+    reference for its bytes."""
+
+    def __init__(self):
+        self.fragments = []
+        self.index = {}
+
+    def fragment(self, nested):
+        k = self.index.get(id(nested))
+        if k is None:
+            body = self.body(nested)
+            k = self.index[id(nested)] = len(self.fragments)
+            self.fragments.append(body)
+        return k
+
+    def body(self, x):
+        return {
+            "initial": None if x.initial is None else expr_to_json(x.initial),
+            "steps": [
+                {
+                    "kind": step.kind,
+                    "path": list(step.path),
+                    "before": expr_to_json(step.before),
+                    "after": expr_to_json(step.after),
+                    "justification": {"type": "rule"} if step.justification is None else
+                    {"type": "substitution",
+                     "fragment": self.fragment(step.justification.derivation)},
+                }
+                for step in x.steps
+            ],
+        }
+
+    @classmethod
+    def text(cls, d) -> str:
+        encoder = cls()
+        root = encoder.body(d)
+        g = d.graph
+        data = {
+            "format": 2,
+            "graph": g.to_json(),
+            "query": None if d.query is None else {
+                "do": list(g.sorted_nodes(d.query[0])), "on": list(g.sorted_nodes(d.query[1]))},
+            "fragments": encoder.fragments,
+            **root,
+        }
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def renamed(g, names):
+    """``g`` with each node renamed by ``names``."""
+    return CausalGraph([(names.get(n, n), g.is_observable(n)) for n in g.names],
+                       [(names.get(p, p), names.get(c, c)) for p, c in g.edges])
+
+
+# Names the json module escapes (a quote, a backslash, a non-ASCII letter),
+# and names that hold the separators "," and ":" and a space.
+AWKWARD = {"X": 'x"1', "Z": "z\\2", "Y": "é, y:3", "U": "u 4",
+           "N0": "a:b", "N1": "Ω", "N2": "c, d", "N3": 'e\\"f'}
+
+
+def codec_derivations(g_frontdoor):
+    """The sweep's derivations, the front-door one, a fragment on its own,
+    and the front-door and two-level draws with awkward names."""
+    yield from sweep_derivations()
+    d = derive_effect({"X"}, {"Y"}, g_frontdoor)
+    yield d
+    yield next(nested_fragments(d))
+    g = renamed(g_frontdoor, AWKWARD)
+    yield derive_effect({AWKWARD["X"]}, {AWKWARD["Y"]}, g)
+    g = renamed(DEPTH_TWO, AWKWARD)
+    yield derive_effect({AWKWARD["N1"]}, {AWKWARD[n] for n in ("N0", "N2", "N3")}, g)
+
+
 class TestFormat2:
+    def test_text_matches_reference_encoder(self, g_frontdoor):
+        checked = 0
+        for d in codec_derivations(g_frontdoor):
+            assert isinstance(d, Derivation)
+            text = derivation_to_text(d)
+            assert text == RefEncoder.text(d)
+            assert derivation_to_json(d) == json.loads(text)
+            checked += 1
+        assert checked >= 30
+
+    def test_repeated_subexpressions_decode_to_one_object(self, g_frontdoor):
+        met = distinct = 0
+        for d in codec_derivations(g_frontdoor):
+            back = derivation_from_json(derivation_to_json(d))
+            assert back == d
+            by_text = {}  # the text of each node met, to the first node with it
+            for dd in unique_derivations(back):
+                todo = [dd.initial] + [e for s in dd.steps for e in (s.before, s.after)]
+                while todo:
+                    e = todo.pop()
+                    assert by_text.setdefault(expr_to_text(e), e) is e
+                    met += 1
+                    if isinstance(e, Sum):
+                        todo.append(e.body)
+                    elif isinstance(e, Product):
+                        todo.extend(e.factors)
+                    elif isinstance(e, Quotient):
+                        todo += (e.num, e.den)
+            distinct += len(by_text)
+        assert met > 2 * distinct
+
     def test_sweep_round_trips(self):
         checked = 0
         for d in sweep_derivations():

@@ -286,6 +286,48 @@ class TestSerialization:
         assert expr_to_json(e) == {"kind": "marginal", "vars": ["A", "B"]}
 
 
+def compact_json(e) -> str:
+    return json.dumps(expr_to_json(e), sort_keys=True, separators=(",", ":"))
+
+
+class TestHashConsing:
+    """Decoding keeps one node per distinct subexpression."""
+
+    def test_repeats_decode_to_one_node(self):
+        leaf = {"kind": "sentence", "outcome": ["A"], "do": ["B"], "given": []}
+        data = {"kind": "product", "factors": [
+            {"kind": "sum", "bound": ["C"], "body": leaf},
+            {"kind": "sum", "bound": ["C"], "body": dict(leaf)},
+            {"kind": "one"}, {"kind": "one"},
+        ]}
+        e = expr_from_json(data)
+        first, second, one, other_one = e.factors
+        assert first is second and first.body is second.body and one is other_one
+        assert e == Product([Sum({"C"}, DoSentence({"A"}, {"B"}, ())),
+                             Sum({"C"}, DoSentence({"A"}, {"B"}, ())), One(), One()])
+
+    def test_memo_shares_nodes_across_calls(self):
+        memo = {}
+        data = {"kind": "marginal", "vars": ["A", "B"]}
+        assert expr_from_json(data, memo) is expr_from_json(dict(data), memo)
+        assert expr_from_json(data) is not expr_from_json(data)
+
+    @pytest.mark.parametrize("names, message", [
+        ("AB", "'vars' must be a list"),  # its tuple equals that of ["A", "B"]
+        ([{"A": 1}], "'vars' must be a list of strings"),  # unhashable
+        ([["A"]], "'vars' must be a list of strings"),
+        ([1], "'vars' must be a list of strings"),
+    ])
+    def test_invalid_names_after_a_valid_list(self, names, message):
+        data = {"kind": "product", "factors": [
+            {"kind": "marginal", "vars": ["A", "B"]},
+            {"kind": "marginal", "vars": names},
+        ]}
+        with pytest.raises(ValueError) as err:
+            expr_from_json(data, {})
+        assert str(err.value) == message
+
+
 class TestPretty:
     def test_marginal(self):
         assert pretty(JointMarginal({"X", "Z"})) == "P(x, z)"
@@ -375,8 +417,9 @@ def ref_simplify(e):
     return e
 
 
-# Names the json module escapes: a quote, a backslash, non-ASCII letters.
-AWKWARD_NAMES = ["A", "B", "C", 'q"t', "b\\s", "é", "Ω"]
+# Names the json module escapes: a quote, a backslash, non-ASCII letters;
+# and one that holds the separators "," and ":" and a space.
+AWKWARD_NAMES = ["A", "B", "C", 'q"t', "b\\s", "é", "Ω", "k, v:w"]
 
 
 def shared_tree(rng, depth=4):
@@ -431,10 +474,13 @@ def assert_same_tree(got, want):
 
 class TestNormalFormReference:
     def test_structural_key_is_the_sorted_json(self):
+        # The key is the compact text.  ref_key, with a space after each
+        # structural "," and ":", stays the ordering reference: the tests
+        # below find the same factor order with either key.
         rng = np.random.default_rng(17)
         for _ in range(200):
             for sub in subtrees(shared_tree(rng)):
-                assert expr._structural_key(sub) == ref_key(sub)
+                assert expr.expr_to_text(sub) == compact_json(sub)
 
     def test_random_trees_match_reference(self):
         for seed in range(300):

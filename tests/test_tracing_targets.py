@@ -6,6 +6,7 @@ which must keep leading it to every nested fragment."""
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from causalid.docalc import Derivation, derive_effect
@@ -38,6 +39,13 @@ def test_traced_methods_resolve():
     for span, (module, cls, attr) in methods.items():
         owner = getattr(importlib.import_module(module), cls, None)
         assert owner is not None and attr in vars(owner), span
+
+
+def test_cli_keeps_a_module_level_json():
+    # The traced run replaces the CLI's JSON codec through this attribute
+    # (``Tracer.install``) to time the derivation file's load.
+    cli = importlib.import_module("causalid.cli")
+    assert vars(cli).get("json") is json
 
 
 def load_tracing():
