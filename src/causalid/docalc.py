@@ -24,7 +24,9 @@ The generator writes every step through one small vocabulary of named
 rewrites, each of which reads the sentence at a path and computes the new
 subexpression: chain-rule ``split``, ``merge`` and ``quotient``,
 ``marginalize``, and the set-valued rule-2 and rule-3 moves; the factor
-substitutions are the only steps written by hand.
+substitutions are the only steps written by hand.  The generator tests no
+side condition: a rule step is correct by the construction of the
+identification trace, and only the verifier decides its separation test.
 
 Every step but a substitution is justified by its rewrite alone, and
 stores no claim: a rule instance can be read off the two sentences, and
@@ -211,8 +213,8 @@ class _Writer:
     Each named rewrite (:meth:`split`, :meth:`merge`, :meth:`ratio`,
     :meth:`marginalize`, :meth:`rule2`, :meth:`rule3`) reads the
     subexpression at ``path`` and computes its replacement, and writes a
-    step with no justification.  The rule moves take a set of variables and
-    test their instance before writing a step."""
+    step with no justification.  The rule moves take the set of variables
+    to move and test nothing: their side conditions are the verifier's."""
 
     def __init__(self, graph: CausalGraph, root: DoExpr):
         self.graph = graph
@@ -278,25 +280,14 @@ class _Writer:
         e = self.at(path)
         x, w = e.do - z, e.given - z
         do, given = (x, w | z) if z <= e.do else (x | z, w)
-        self.tested(RULE2, path, DoSentence(e.outcome, do, given),
-                    RuleInstance(2, x, e.outcome, z, w, self.graph))
+        self.apply(RULE2, path, DoSentence(e.outcome, do, given))
 
     def rule3(self, path: Path, z: frozenset[str]):
         """Rule 3: insert the actions on ``z`` into the sentence at ``path``,
         or delete them."""
         e = self.at(path)
-        x = e.do - z
-        self.tested(RULE3, path,
-                    DoSentence(e.outcome, x if z <= e.do else e.do | z, e.given),
-                    RuleInstance(3, x, e.outcome, z, e.given, self.graph))
-
-    def tested(self, kind: str, path: Path, after_local: DoExpr, instance: RuleInstance):
-        """Write a rule step once its instance is tested to hold."""
-        if not rule_applicable(instance).holds:
-            raise GraphError(
-                f"internal error: generated {kind} step whose separation fails"
-            )
-        self.apply(kind, path, after_local)
+        do = e.do - z if z <= e.do else e.do | z
+        self.apply(RULE3, path, DoSentence(e.outcome, do, e.given))
 
 
 # -- schedule emitters -----------------------------------------------------------

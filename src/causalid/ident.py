@@ -131,23 +131,22 @@ def factorize_components(
     h = frozenset(h)
     if q_h.scope != h:
         raise GraphError("factor scope does not match h")
-    blocks = _observable_components(g, h)
-    order = g.topo_order(h)
+    return [_component_factor(g, h, b, q_h.estimand) for b in _observable_components(g, h)]
 
-    prefix: list[ProbExpr] = [One()]
-    for j in range(1, len(order) + 1):
-        tail = frozenset(order[j:])
-        prefix.append(canonicalize(Sum(tail, q_h.estimand)))
 
-    position = {name: j for j, name in enumerate(order, start=1)}
-    out = []
-    for b in blocks:
-        parts: list[ProbExpr] = []
-        for name in sorted(b, key=position.__getitem__):
-            j = position[name]
-            parts.append(prefix[j] if j == 1 else Quotient(prefix[j], prefix[j - 1]))
-        out.append(QFactor(b, parts[0] if len(parts) == 1 else Product(parts)))
-    return out
+def _component_factor(
+    g: CausalGraph, scope: frozenset[str], block: frozenset[str], q: ProbExpr
+) -> QFactor:
+    """The factor of ``block``, one confounded component of ``scope``, from
+    the estimand ``q`` of the factor on ``scope``: the product over the
+    block's members, in topological order, of quotients of consecutive
+    prefix sums of ``q``."""
+    order = g.topo_order(scope)
+    js = [j for j, name in enumerate(order, start=1) if name in block]
+    prefix = {j: canonicalize(Sum(frozenset(order[j:]), q))
+              for j in {*js, *(j - 1 for j in js if j > 1)}}
+    parts = [prefix[j] if j == 1 else Quotient(prefix[j], prefix[j - 1]) for j in js]
+    return QFactor(block, parts[0] if len(parts) == 1 else Product(parts))
 
 
 def _observable_components(g: CausalGraph, scope: frozenset[str]) -> list[frozenset[str]]:
@@ -181,9 +180,10 @@ def _identify_traced(c: frozenset[str], t: frozenset[str], g: CausalGraph) -> Id
 
 def _reduce(q_t: QFactor, tr: IdentifyTrace, g: CausalGraph) -> ProbExpr:
     """Fold the factor on the chain's first t down the chain to Q[c]."""
-    for (_, a), (t1, _) in zip(tr.levels, tr.levels[1:]):
-        q_a = sum_to_ancestral(q_t, a, g)
-        q_t = next(f for f in factorize_components(a, q_a, g) if f.scope == t1)
+    for (t, a), (t1, _) in zip(tr.levels, tr.levels[1:]):
+        # a is ancestral in t and t1 one confounded component of a, as the
+        # trace built them.
+        q_t = _component_factor(g, a, t1, canonicalize(Sum(t - a, q_t.estimand)))
     t = tr.levels[-1][0]
     return canonicalize(Sum(t - tr.c, q_t.estimand))
 
@@ -232,8 +232,8 @@ def _q_estimand(tr: EffectTrace) -> ProbExpr:
         return One()
     g = tr.graph
     n = frozenset(g.observable_names)
-    n_factors = {f.scope: f for f in factorize_components(n, QFactor(n, JointMarginal(n)), g)}
-    factors = [_reduce(n_factors[it.levels[0][0]], it, g) for it in tr.identify_traces]
+    factors = [_reduce(_component_factor(g, n, it.levels[0][0], JointMarginal(n)), it, g)
+               for it in tr.identify_traces]
     return factors[0] if len(factors) == 1 else Product(factors)
 
 

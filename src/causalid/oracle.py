@@ -360,20 +360,18 @@ def check_estimand(
         raise GraphError("t and s must be disjoint")
     if not free_vars(e) <= (t_vars | s_vars):
         raise ValueError("estimand has free variables outside s and t")
+    for v in g.sorted_nodes(t_vars | s_vars):
+        if not g.is_observable(v):
+            raise GraphError(f"query variable {v!r} is latent")
     order = list(g.sorted_nodes(t_vars)) + list(g.sorted_nodes(s_vars))
-    keep = t_vars | s_vars
-    n_obs = len(g.observable_names)
-    drop = tuple(ax - n_obs for ax, n in enumerate(g.observable_names) if n not in keep)
-    # axes of the summed truth follow observable index order; permute to `order`
-    current = [n for n in g.observable_names if n in keep]
-    perm = [current.index(n) for n in order]
+    env = {v: i for i, v in enumerate(order)}
 
     per_model = []
     for seeds in _seed_batches(g, seed, trials, arity):
         m = random_model(g, arity=arity, seed=seeds)
         est = evaluate_grid(e, observational_joint(m), order)
-        arr = intervened_array(m, t_vars)
-        truth = (arr.sum(axis=drop) if drop else arr).transpose(0, *(1 + p for p in perm))
+        truth = JointTable(g.observable_names, intervened_array(m, t_vars)).placed(
+            t_vars | s_vars, env, len(order))
         errs = _per_model_max(np.abs(est - truth), m.batch)
         per_model.extend((model_seed, float(err), bool(err <= tolerance))
                          for model_seed, err in zip(seeds, errs))

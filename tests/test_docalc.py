@@ -563,6 +563,109 @@ class TestSwappedRule3Members:
         assert mutants >= 20
 
 
+def set_sites(e, observables):
+    """Each set of ``e``, a sentence's outcome, actions or observations or
+    a sum's bound, as (members, the observables that can join it, a
+    function that rebuilds ``e`` around a new value of it)."""
+    if isinstance(e, DoSentence):
+        for f in ("outcome", "do", "given"):
+            yield getattr(e, f), observables - e.leaf_vars, \
+                (lambda new, f=f: replace(e, **{f: new}))
+    elif isinstance(e, Sum):
+        yield e.bound, observables - e.bound, lambda new: Sum(new, e.body)
+        for m, room, r in set_sites(e.body, observables):
+            yield m, room, (lambda new, r=r: Sum(e.bound, r(new)))
+    elif isinstance(e, Product):
+        for k, f in enumerate(e.factors):
+            for m, room, r in set_sites(f, observables):
+                yield m, room, (lambda new, r=r, k=k: Product(
+                    e.factors[:k] + (r(new),) + e.factors[k + 1:]))
+    elif isinstance(e, Quotient):
+        for m, room, r in set_sites(e.num, observables):
+            yield m, room, (lambda new, r=r: Quotient(r(new), e.den))
+        for m, room, r in set_sites(e.den, observables):
+            yield m, room, (lambda new, r=r: Quotient(e.num, r(new)))
+
+
+def corrupted_afters(d, i):
+    """Step ``i`` of ``d`` with its ``after`` replaced by another step's, or
+    with one member dropped from or one observable added to one of its
+    sets, as (name of the mutation, mutated step)."""
+    step = d.steps[i]
+    seen = {step.after}
+    for other in d.steps:
+        if other.after not in seen:
+            seen.add(other.after)
+            yield "sibling", replace(step, after=other.after)
+    observables = frozenset(d.graph.observable_names)
+    for members, room, rebuild in set_sites(step.after, observables):
+        for v in sorted(members):
+            yield "drop", replace(step, after=rebuild(members - {v}))
+        for v in sorted(room):
+            yield "add", replace(step, after=rebuild(members | {v}))
+
+
+def step_mutants():
+    """Every mutant of the sweep's derivations and fragments, as (name,
+    index of the changed step, mutant): two adjacent steps swapped, or one
+    step's ``after`` corrupted and the derivation cut after that step, so
+    that a later step failing to chain cannot be what rejects it."""
+    for d in sweep_derivations():
+        for dd in unique_derivations(d):
+            steps = dd.steps
+            for i in range(len(steps) - 1):
+                if steps[i] != steps[i + 1]:
+                    swapped = steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:]
+                    yield "reorder", i, Derivation(dd.graph, dd.query, dd.initial, swapped)
+            for i in range(len(steps)):
+                for name, bad in corrupted_afters(dd, i):
+                    yield name, i, Derivation(dd.graph, None, dd.initial, steps[:i] + (bad,))
+
+
+def holds_on_models(d, models=5):
+    """Whether the initial and final expressions of ``d`` agree on
+    ``models`` random positive models, by the oracle alone."""
+    frees = sorted(free_vars(d.initial) | free_vars(d.final))
+    ev = DoEvaluator(random_model(d.graph, seed=range(models)))
+    return float(np.max(np.abs(ev.grid(d.initial, frees) - ev.grid(d.final, frees)))) <= 1e-9
+
+
+class TestReorderedAndCorruptedSteps:
+    """Reordered and corrupted steps: each mutant is rejected, a corrupted
+    one at the step it changed, or the equation it claims holds on five
+    models (two steps at independent sites commute, and deleting fewer
+    actions is also a rule-3 step).  Every set corruption of a rule step is
+    tried, as only the checker's rule test can catch some of them; the
+    other mutants are a fixed-seed sample drawn alike from each mutation
+    and kind of changed step."""
+
+    PER_STRATUM = 40
+
+    def test_sample_rejected_or_equal(self):
+        strata = {}
+        for name, i, mutant in step_mutants():
+            strata.setdefault((name, mutant.steps[i].kind), []).append((i, mutant))
+        rng = np.random.default_rng(21)
+        rejected = set()
+        for (name, kind), mutants in sorted(strata.items()):
+            if name in ("drop", "add") and kind in ("Rule2", "Rule3"):
+                picks = range(len(mutants))
+            else:
+                picks = rng.choice(len(mutants), min(len(mutants), self.PER_STRATUM),
+                                   replace=False)
+            for k in picks:
+                i, mutant = mutants[k]
+                verdict = verify_derivation(mutant, models=0)
+                if verdict.accepted:
+                    assert holds_on_models(mutant), (name, mutant.steps[i])
+                else:
+                    # A swap is caught at the first step that no longer
+                    # chains, which may come after the swapped pair.
+                    assert verdict.step >= i if name == "reorder" else verdict.step == i
+                    rejected.add(name)
+        assert rejected == {"reorder", "sibling", "drop", "add"}
+
+
 class TestReversedRewrites:
     """A chain-rule or marginalization step is an equality, so the verifier
     accepts it read in either direction."""

@@ -7,7 +7,7 @@ import pytest
 
 from causalid.docalc import Derivation, DoSentence, derive_effect, verify_derivation
 from causalid.expr import JointMarginal, One, free_vars, iter_leaves
-from causalid.graph import CausalGraph
+from causalid.graph import CausalGraph, parse_graph_text
 from causalid.ident import causal_effect
 from causalid.oracle import (
     DoEvaluator,
@@ -17,6 +17,7 @@ from causalid.oracle import (
     random_model,
 )
 
+import workloads as wl
 from conftest import grid_value, random_dag
 
 
@@ -258,18 +259,36 @@ class TestDeriveBuildsNoExpression:
         def refuse(*args, **kwargs):
             raise AssertionError("an estimand was built")
 
-        for name in ("canonicalize", "simplify", "factorize_components", "sum_to_ancestral"):
+        for name in ("canonicalize", "simplify", "factorize_components", "sum_to_ancestral",
+                     "_component_factor"):
             m.setattr(f"causalid.ident.{name}", refuse)
 
-    def test_derive_reads_only_the_trace(self, g_frontdoor, g_bow, monkeypatch):
+    @staticmethod
+    def cases(g_frontdoor, g_bow):
         g, queries = sparse_queries()
-        cases = [(g_frontdoor, {"X"}, {"Y"}), (g_bow, {"X"}, {"Y"})]
-        cases += [(g, t, s) for t, s in queries]
+        return [(g_frontdoor, {"X"}, {"Y"}), (g_bow, {"X"}, {"Y"})] + [
+            (g, t, s) for t, s in queries]
+
+    def test_derive_reads_only_the_trace(self, g_frontdoor, g_bow, monkeypatch):
+        cases = self.cases(g_frontdoor, g_bow)
         want = [derive_effect(t, s, g) for g, t, s in cases]
         assert any(isinstance(d, Derivation) for d in want)
         assert any(not isinstance(d, Derivation) for d in want)
         with monkeypatch.context() as m:
             self.forbid_building(m)
+            assert [derive_effect(t, s, g) for g, t, s in cases] == want
+
+    def test_derive_runs_no_separation_test(self, g_frontdoor, g_bow, monkeypatch):
+        # A rule step's side condition is decided by the checker alone.
+        cases = self.cases(g_frontdoor, g_bow)
+        want = [derive_effect(t, s, g) for g, t, s in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a separation test ran")
+
+        with monkeypatch.context() as m:
+            m.setattr("causalid.sep._separated", refuse)
+            m.setattr("causalid.docalc.rule_applicable", refuse)
             assert [derive_effect(t, s, g) for g, t, s in cases] == want
 
     def test_bow_witness_builds_nothing(self, g_bow, monkeypatch):
@@ -278,3 +297,20 @@ class TestDeriveBuildsNoExpression:
             self.forbid_building(m)
             got = causal_effect({"X"}, {"Y"}, g_bow)
         assert got == want and got.witness is not None
+
+
+class TestPoolDerivationsAccepted:
+    """The compiler tests no rule step, so each generated step's separation
+    test runs here: every identifiable query of the seed-0 ``scale`` and
+    ``corpus`` pools gets a derivation that the checker accepts."""
+
+    @pytest.mark.parametrize("workload", ["scale", "corpus"])
+    def test_every_derivation_accepted(self, workload):
+        derived = 0
+        for q in wl.make_pool(workload, wl.SPEC["default_seed"]):
+            d = derive_effect(q.do, q.on, parse_graph_text(q.graph.text()))
+            if isinstance(d, Derivation):
+                verdict = verify_derivation(d, models=0)
+                assert verdict.accepted, (q.qid, verdict)
+                derived += 1
+        assert derived == {"scale": 199, "corpus": 945}[workload]

@@ -7,7 +7,7 @@ import pytest
 
 import causalid.oracle
 from causalid.expr import JointMarginal, Product, Quotient, Sum, evaluate_grid
-from causalid.graph import CausalGraph
+from causalid.graph import CausalGraph, GraphError
 from causalid.ident import causal_effect
 from causalid.oracle import (
     DiscreteModel,
@@ -313,6 +313,14 @@ class TestCheckEstimand:
     def test_zero_trials_rejected(self, g_chain):
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
             check_estimand(JointMarginal({"Y"}), g_chain, ["X"], ["Y"], trials=0)
+
+    @pytest.mark.parametrize("t, s", [({"X"}, {"U"}), ({"U"}, {"Y"})])
+    def test_latent_query_variable_rejected(self, t, s):
+        # X -> Y <- U: the truth has no axis for a latent, so the query is
+        # rejected before any model is drawn.
+        g = CausalGraph([("X", True), ("Y", True), ("U", False)], [("X", "Y"), ("U", "Y")])
+        with pytest.raises(GraphError, match="query variable 'U' is latent"):
+            check_estimand(JointMarginal(s), g, t, s)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
     def test_tolerance_must_be_finite_and_nonnegative(self, g_chain, tolerance):
