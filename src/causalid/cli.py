@@ -29,7 +29,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -62,11 +64,51 @@ def _load_graph(path: str) -> CausalGraph:
     return parse_graph_text(text)
 
 
+def _json_text(o, indent: str = "") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` for a value nested at
+    ``indent``, without the pure-Python encoder that ``indent`` selects.
+    Keys must be strings; a value that is not a dict, list, tuple, str,
+    int, float, bool or None goes to ``json.dumps``, which rejects it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    inner = indent + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(o[k], inner)}" for k in sorted(o))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = (_json_text(v, inner) for v in o)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(o)
+
+
 def _emit(data: dict, as_json: bool, human: str | Callable[[], str]) -> None:
     """Print ``data`` as JSON, or the human text; a callable ``human`` is
     called only when its text is printed."""
     if as_json:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(_json_text(data))
     else:
         print(human() if callable(human) else human)
 

@@ -572,8 +572,6 @@ def _check_rule_step(kind: str, graph: CausalGraph, b: DoExpr, a: DoExpr) -> Non
     if kind == RULE2:
         # moved set swaps between do and given
         hat_side, obs_side = (b, a) if moved <= b.do else (a, b)
-        if not (moved <= hat_side.do and moved <= obs_side.given):
-            raise _Mismatch("sets do not match an action/observation exchange")
         w = hat_side.given
         if obs_side.given != w | moved or obs_side.do != x:
             raise _Mismatch("sets do not match an action/observation exchange")

@@ -131,6 +131,91 @@ def _cards(g: CausalGraph, arity: int | Mapping[str, int]) -> tuple[int, ...]:
     return cards
 
 
+def _seed_ints(seed: int | Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The seeds of ``seed`` as Python ints, and the model axes they give:
+    ``()`` for one seed, ``(len(seeds),)`` for a sequence.  A negative or
+    non-integer seed raises the error that ``np.random.default_rng`` raises;
+    a seed that is itself a sequence raises ValueError."""
+    try:
+        seeds = list(seed)
+        batch = (len(seeds),)
+    except TypeError:
+        seeds, batch = [seed], ()
+    if not seeds:
+        raise ValueError("at least one seed required")
+    for s in seeds:
+        if not isinstance(s, (int, np.integer)):
+            if isinstance(s, Iterable) and not isinstance(s, str) and getattr(s, "ndim", 1):
+                raise ValueError("random_model takes one seed or a flat sequence of "
+                                 f"seeds, got the nested seed {s!r}")
+            raise TypeError(f"SeedSequence expects int or sequence of ints for entropy not {s}")
+        if s < 0:
+            raise ValueError("expected non-negative integer")
+    return [int(s) for s in seeds], batch
+
+
+# NumPy's SeedSequence (pool size 4) and PCG64 seeding constants.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count + 1`` hash constants ``init * mult**k mod 2^32``, one
+    row each, to broadcast over the seed axis."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _seed_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``np.random.default_rng(s)`` starts
+    from, for every non-negative int ``s`` of ``seeds``.
+
+    One pass over ``uint32`` arrays (seeds along the last axis, wrapping
+    arithmetic) runs ``SeedSequence``'s ``mix_entropy`` and
+    ``generate_state(4, uint64)``; ``pcg64_set_seed`` then runs in Python
+    ints.  A seed is its little-endian 32-bit words; one below 2^128 is
+    padded with zero words to the pool size, as ``mix_entropy`` pads it."""
+    lengths = [(s.bit_length() + 31) // 32 for s in seeds]
+    width = max(_POOL, *lengths)
+    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
+                          dtype="<u4").reshape(len(seeds), width).T
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * width)
+    used = 0
+
+    def hashmix(value: np.ndarray, count: int) -> np.ndarray:
+        # ``count`` consecutive hashes of ``value``, one per row
+        nonlocal used
+        value = (value ^ consts[used:used + count]) * consts[used + 1:used + count + 1]
+        used += count
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    pool = hashmix(words[:_POOL], _POOL)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for w in range(_POOL, width):  # the words of seeds of 2^128 and above
+        has = np.array(lengths) > w
+        pool = np.where(has, mix(pool, hashmix(words[w], _POOL)), pool)
+    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    state = (pool[[*range(_POOL)] * 2] ^ consts[:-1]) * consts[1:]
+    state = (state ^ (state >> 16)).T.copy().view("<u8")
+    out = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in state.tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        out.append((((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
 def random_model(
     g: CausalGraph,
     arity: int | Mapping[str, int] = 2,
@@ -140,17 +225,24 @@ def random_model(
     then mixed with the uniform distribution so every entry is >= MIN_PROB.
 
     A sequence of seeds gives a stack with one model per seed, in order;
-    each is the model that its seed alone gives."""
+    each is the model that its seed alone gives.  Seed ``s`` reads the
+    stream of ``np.random.default_rng(s)``: its PCG64 state is expanded as
+    ``SeedSequence`` and ``pcg64_set_seed`` expand it, for all seeds at
+    once (:func:`_seed_states`), and NumPy converts the stream to doubles.
+    A negative, non-integer or nested seed raises."""
     cards = _cards(g, arity)
     shapes = [tuple(cards[j] for j in g._parents[i]) + (cards[i],) for i in range(len(g))]
     sizes = [math.prod(shape) for shape in shapes]
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    if not seeds:
-        raise ValueError("at least one seed required")
+    seeds, batch = _seed_ints(seed)
     # One draw per model: a generator's stream read in one call is the same
     # as the nodes' tables read one after another in index order.
-    flat = np.stack([np.random.default_rng(s).random(sum(sizes)) for s in seeds])
-    batch = flat.shape[:np.ndim(seed)]
+    flat = np.empty((len(seeds), sum(sizes)))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    for row, (state, inc) in zip(flat, _seed_states(seeds)):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        gen.random(out=row)
     flat = flat.reshape(batch + (sum(sizes),))
     cpts = []
     offset = 0

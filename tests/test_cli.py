@@ -339,6 +339,48 @@ class TestOracle:
         assert json.loads(capsys.readouterr().out)["found"] is False
 
 
+def json_sweep_value(rng, depth=0):
+    """A seeded nested value of the kinds the CLI's JSON writer takes."""
+    scalars = [
+        None, True, False, 0, -7, 2**70, -(2**65) + 1, 0.1, -0.0, 1e-300, 1.5e300,
+        float("nan"), float("inf"), float("-inf"), np.float64(2.5e-9), np.float64("nan"),
+        "", "plain", "Ünïcödé ∑ 𝔛", "ctl \x00\x01\x1f \t\n\r \" \\ /", " \ud800",
+    ]
+    kind = rng.integers(5) if depth < 4 else 4
+    if kind == 0:
+        return {str(rng.choice(["a", "B", "é", "", "z\n", "10", "9"])) + str(k):
+                json_sweep_value(rng, depth + 1) for k in range(rng.integers(4))}
+    if kind == 1:
+        return [json_sweep_value(rng, depth + 1) for _ in range(rng.integers(4))]
+    if kind == 2:
+        return tuple(json_sweep_value(rng, depth + 1) for _ in range(rng.integers(3)))
+    return scalars[rng.integers(len(scalars))]
+
+
+class TestJsonWriter:
+    def test_matches_json_dumps(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            value = json_sweep_value(rng)
+            assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_oracle_payload_matches_json_dumps(self, graphs, capsys):
+        assert main(["oracle", "verify", "--graph", graphs["fd"], "--do", "X", "--on", "Y",
+                     "--trials", "30", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("key", [1, None, ("a",)])
+    def test_non_str_key_rejected(self, key):
+        with pytest.raises(TypeError):
+            cli._json_text({"x": [{key: 1}]})
+
+    def test_other_values_rejected_like_json_dumps(self):
+        for value in ({"a": np.int64(3)}, [object()], {"s": {1, 2}}):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                cli._json_text(value)
+
+
 class TestParserBuiltOnce:
     def test_one_build_over_many_calls(self, graphs, monkeypatch, capsys):
         argvs = [

@@ -141,6 +141,24 @@ class TestVerifyRejections:
         assert verdict.step == 0
         assert "separation" in verdict.reason
 
+    @pytest.mark.parametrize("kind, before, after, reason", [
+        # deletes do(X1) and inserts do(X2) in one step
+        ("Rule3", DoSentence(frozenset({"Y"}), frozenset({"X1"}), frozenset()),
+         DoSentence(frozenset({"Y"}), frozenset({"X2"}), frozenset()),
+         "sets do not match an action insertion/deletion"),
+        # turns do(X1) into an observation and the observation X2 into an action
+        ("Rule2", DoSentence(frozenset({"Y"}), frozenset({"X1"}), frozenset({"X2"})),
+         DoSentence(frozenset({"Y"}), frozenset({"X2"}), frozenset({"X1"})),
+         "sets do not match an action/observation exchange"),
+    ])
+    def test_step_that_moves_actions_both_ways_rejected(self, kind, before, after, reason):
+        # Neither side's do-set holds every moved action.  The graph has no
+        # edges, so every separation holds and only the set checks reject.
+        g = CausalGraph.build(observed=["X1", "X2", "Y"])
+        d = Derivation(g, None, before, (DerivationStep(kind, (), before, after, None),))
+        verdict = verify_derivation(d, models=0)
+        assert (verdict.accepted, verdict.step, verdict.reason) == (False, 0, reason)
+
     def test_tampered_final_expression_rejected(self, g_backdoor):
         d = derive_effect({"X"}, {"Y"}, g_backdoor)
         # swap the last step's after-expression for a wrong marginal

@@ -48,6 +48,40 @@ class TestRandomModel:
         m = random_model(g_bow, seed=7)
         assert observational_joint(m).array.min() > 0
 
+    @pytest.mark.parametrize("seeds", [range(5000), [2**32, 2**64 + 5, 2**128 - 1, 2**130 + 7]])
+    def test_draws_the_stream_of_default_rng(self, g_frontdoor, seeds):
+        # Seed s reads np.random.default_rng(s): the tables built from that
+        # stream by hand equal the stack's, seed by seed, bit for bit.
+        g, arity = g_frontdoor, 3
+        stack = random_model(g, arity=arity, seed=seeds)
+        shapes = [(arity,) * (len(g._parents[i]) + 1) for i in range(len(g))]
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        for j, seed in enumerate(seeds):
+            flat = np.random.default_rng(seed).random(sum(sizes))
+            for i, (cpt, shape, start) in enumerate(zip(stack.cpts, shapes, np.cumsum([0] + sizes))):
+                raw = flat[start:start + sizes[i]].reshape(shape) + 1e-12
+                want = (1.0 - arity * 0.01) * (raw / raw.sum(axis=-1, keepdims=True)) + 0.01
+                assert np.array_equal(cpt[j], want), (seed, g.names[i])
+
+    def test_integer_seed_types(self, g_chain):
+        want = random_model(g_chain, seed=1).cpts
+        for seed in (np.int64(1), True, [np.uint8(1)]):
+            got = random_model(g_chain, seed=seed).cpts
+            assert all(np.array_equal(a.reshape(b.shape), b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("seed, error, message", [
+        ([[1, 2], [3, 4]], ValueError, "flat sequence of seeds, got the nested seed"),
+        ([0, range(2)], ValueError, "flat sequence of seeds, got the nested seed"),
+        (-1, ValueError, "expected non-negative integer"),
+        ([0, -3], ValueError, "expected non-negative integer"),
+        (1.5, TypeError, "SeedSequence expects int"),
+        ([0, 2.0], TypeError, "SeedSequence expects int"),
+        ([], ValueError, "at least one seed required"),
+    ])
+    def test_bad_seeds_rejected(self, g_chain, seed, error, message):
+        with pytest.raises(error, match=message):
+            random_model(g_chain, seed=seed)
+
 
 class TestModelStack:
     def test_stack_holds_each_seeds_model(self, g_frontdoor):
